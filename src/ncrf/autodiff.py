@@ -1,11 +1,12 @@
 """Dense float64 tensors and a reverse-mode differentiation tape.
 
-Every differentiable primitive the model needs lives here. An operation
-computes its value with numpy and, when a Tape is passed, appends a node
-holding the output, the input tensors, and a closure mapping the output
-adjoint to input adjoints. Because nodes are appended in execution
-order, walking the list backwards visits each node exactly once and is
-a valid reverse topological order.
+Every differentiable primitive the model needs lives here, except the
+GRU recurrence, which ``gru.gru_forward`` records as one node. An
+operation computes its value with numpy and, when a Tape is passed,
+appends a node holding the output, the input tensors, and a closure
+mapping the output adjoint to input adjoints. Because nodes are
+appended in execution order, walking the list backwards visits each
+node exactly once and is a valid reverse topological order.
 
 Passing ``tape=None`` runs the same forward math without recording,
 which is how inference-only paths avoid graph overhead.
@@ -55,10 +56,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
-
-
-def tensor(data) -> Tensor:
-    return Tensor(data)
 
 
 class Tape:
@@ -167,13 +164,6 @@ def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def add_const(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
-    out = Tensor(a.data + c)
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (g,))
-    return out
-
-
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     da, db = a.data, b.data
     if da.ndim == 0 or db.ndim == 0 or da.ndim > 2 or db.ndim > 2:
@@ -225,12 +215,11 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def _sigmoid(v: Array) -> Array:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """``1/(1+exp(-v))`` for v >= 0 and ``exp(v)/(1+exp(v))`` below, so
+    exp never overflows; ``min(v, -v)`` keeps a NaN's sign."""
+    e = np.exp(np.minimum(v, -v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:

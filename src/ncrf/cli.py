@@ -73,11 +73,12 @@ def cmd_train(args) -> int:
     rate, epoch_s = _profile_geometry(args)
     records = load_records(args.data, sample_rate_hz=rate, epoch_seconds=epoch_s)
     train_recs, val_recs, _ = split_by_subject(records, seed=args.seed)
+    lr = args.lr if args.lr is not None else (1e-4 if args.profile == "paper" else 1e-3)
     config = TrainConfig(
         model_kind=args.model,
         cost_sensitive=args.cost_sensitive,
         l1_lambda=getattr(args, "lambda"),
-        learning_rate=args.lr,
+        learning_rate=lr,
         max_epochs=args.max_epochs,
         patience=args.patience,
         batch_size=args.batch,
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, help="CNN channels (default 32 desk / 256 paper)")
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=float, help="Adam learning rate (default 1e-3 desk / 1e-4 paper)")
     p.add_argument("--batch", type=int, default=1)
     p.set_defaults(func=cmd_train)
 

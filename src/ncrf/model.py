@@ -169,7 +169,3 @@ def evaluate(config: ModelConfig, params: ModelParams, records: list[Record]) ->
         raise ParameterError("evaluation needs at least one record")
     triples = [(r.subject_id, r.labels, decode_record(config, params, r)) for r in records]
     return eval_report(triples)
-
-
-def pooled_kappa(config: ModelConfig, params: ModelParams, records: list[Record]) -> float:
-    return evaluate(config, params, records).kappa

@@ -2,7 +2,8 @@
 PASS line with its measured numbers (run with ``pytest -s`` to watch).
 
 Criteria 3 and 5 (one shared run), 4 and 6 train real models and take
-several minutes; everything else is fast.
+several minutes; they carry the ``slow`` marker, so ``pytest -m "not
+slow"`` skips them. Everything else is fast.
 """
 
 import time
@@ -47,6 +48,7 @@ from ncrf.crf import (
     viterbi,
 )
 from ncrf.data import Record, SynthConfig, skewed_config, split_by_subject, synth_generate
+from ncrf.gru import gru_forward, gru_init
 from ncrf.metrics import kappa, kappa_from_confusion, se_mae, sleep_efficiency
 from ncrf.model import ModelConfig, evaluate, hidden_states, init_params, record_loss
 from ncrf.training import TrainConfig, train
@@ -237,6 +239,19 @@ def test_criterion_2_gradient_fidelity():
         assert err < 1e-4, f"full {kind}: {err:.3e}"
         report.append(f"full-{kind} {err:.1e}")
 
+    # the fused GRU node with the tanh candidate (record_loss above covers
+    # the default candidate)
+    gru_params = gru_init(3, 5, rng)
+    gru_params["x"] = Tensor(rng.normal(size=(3, 6)))
+
+    def gru_loss(p, tape):
+        h = gru_forward(p["x"], p, candidate_tanh=True, tape=tape)
+        return logsumexp(reshape(h, (-1,), tape), tape=tape)
+
+    err = grad_check(gru_loss, gru_params, eps=1e-5, samples=60, rng=rng)
+    assert err < 1e-4, f"fused gru (tanh): {err:.3e}"
+    report.append(f"fused-gru-tanh {err:.1e}")
+
     elapsed = time.time() - started
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"
     announce(2, f"{'; '.join(report)} in {elapsed:.1f}s")
@@ -247,6 +262,7 @@ def test_criterion_2_gradient_fidelity():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_3_structured_gain(structured_runs):
     k_soft = structured_runs["softmax"]["kappa"]
     k_crf = structured_runs["crf"]["kappa"]
@@ -266,6 +282,7 @@ def _per_class_recall(confusion: np.ndarray) -> np.ndarray:
     return np.divide(np.diag(confusion), totals, out=np.zeros(K), where=totals > 0)
 
 
+@pytest.mark.slow
 def test_criterion_4_cost_sensitive_recall():
     from ncrf.data import SleepStage
 
@@ -310,6 +327,7 @@ def _expected_transition_counts(checkpoint, records) -> np.ndarray:
     return counts
 
 
+@pytest.mark.slow
 def test_criterion_5_transition_recovery(structured_runs, default_corpus):
     # T1 alone is not identified: adding c_j to column j of T1 and -c_j to
     # S[t, j] for t >= 1 leaves every sequence score unchanged, and the GRU
@@ -330,6 +348,7 @@ def test_criterion_5_transition_recovery(structured_runs, default_corpus):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_sparsity(default_corpus):
     train_recs, val_recs, _ = default_corpus
     config = TrainConfig(model_kind="crf", l1_lambda=0.5, seed=SPLIT_SEED,

@@ -7,7 +7,7 @@ import pytest
 from ncrf.cli import main
 from ncrf.data import SynthConfig, save_synth_config
 from ncrf.model import desk_config, init_params
-from ncrf.training import Checkpoint, save_checkpoint
+from ncrf.training import Checkpoint, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,34 @@ def test_train_determinism_byte_identical(tmp_path, corpus_dir):
         assert code == 0
         outs.append((ckpt.read_bytes(), hist.read_text()))
     assert outs[0] == outs[1]
+
+
+def test_train_learning_rate_defaults_by_profile(tmp_path, corpus_dir, trained):
+    assert load_checkpoint(trained).extras["learning_rate"] == "0.001"  # desk default
+
+    paper_cfg = tmp_path / "paper.txt"
+    save_synth_config(SynthConfig(num_subjects=5, epochs_per_subject=2, sample_rate=32,
+                                  epoch_seconds=30, seed=13), paper_cfg)
+    paper_corpus = tmp_path / "paper"
+    assert main(["synth", "--config", str(paper_cfg), "--out", str(paper_corpus)]) == 0
+    ckpt = tmp_path / "paper.ncrf"
+    code = main([
+        "train", "--data", str(paper_corpus / "manifest.txt"), "--profile", "paper",
+        "--channels", "2", "--hidden", "3", "--out", str(ckpt),
+        "--max-epochs", "1", "--patience", "1",
+    ])
+    assert code == 0
+    assert load_checkpoint(ckpt).extras["learning_rate"] == "0.0001"
+
+
+def test_train_explicit_learning_rate_overrides_profile(tmp_path, corpus_dir):
+    ckpt = tmp_path / "lr.ncrf"
+    code = main([
+        "train", "--data", str(corpus_dir / "manifest.txt"), "--lr", "0.0005",
+        "--out", str(ckpt), "--max-epochs", "1", "--patience", "1", "--hidden", "4",
+    ])
+    assert code == 0
+    assert load_checkpoint(ckpt).extras["learning_rate"] == "0.0005"
 
 
 def test_eval_writes_summary_with_exact_keys(tmp_path, corpus_dir, trained):

@@ -118,18 +118,21 @@ def test_empty_split_rejected(corpus):
         train(tr, [], quick_config())
 
 
-def test_thread_count_does_not_change_results(corpus, monkeypatch):
-    tr, va, _ = corpus
-    results = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("NCRF_THREADS", workers)
-        ckpt, hist = train(tr, va, quick_config(batch_size=3, max_epochs=2, patience=2))
-        results.append((ckpt, hist))
-    assert results[0][1] == results[1][1]
-    for name in results[0][0].params:
-        np.testing.assert_array_equal(
-            results[0][0].params[name].data, results[1][0].params[name].data
-        )
+def test_thread_count_does_not_change_results(monkeypatch):
+    # 24 training records: batch sizes 5 and 7 leave a short final batch
+    recs = synth_generate(SynthConfig(num_subjects=28, epochs_per_subject=24, seed=37))
+    tr, va = recs[:24], recs[24:]
+    for workers, batch_size in ((2, 3), (3, 5), (2, 4), (2, 7)):
+        results = []
+        for count in (1, workers):
+            monkeypatch.setenv("NCRF_THREADS", str(count))
+            results.append(train(tr, va, quick_config(batch_size=batch_size, max_epochs=2,
+                                                      patience=2)))
+        (one, one_hist), (many, many_hist) = results
+        assert one_hist == many_hist, (workers, batch_size)
+        for name in one.params:
+            assert one.params[name].data.tobytes() == many.params[name].data.tobytes(), \
+                (workers, batch_size, name)
 
 
 def test_cost_sensitive_requires_all_classes(corpus):
