@@ -14,7 +14,7 @@ which is how inference-only paths avoid graph overhead.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -300,49 +300,6 @@ def reshape(x: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tens
     out = Tensor(x.data.reshape(shape))
     if tape is not None:
         tape.record(out, (x,), lambda g: (g.reshape(orig),))
-    return out
-
-
-def row(x: Tensor, i: int, tape: Tape | None = None) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"row() expects a matrix, got {x.shape}")
-    out = Tensor(x.data[i].copy())
-    if tape is not None:
-        shape = x.data.shape
-
-        def bw(g):
-            z = np.zeros(shape)
-            z[i] = g
-            return (z,)
-
-        tape.record(out, (x,), bw)
-    return out
-
-
-def col(x: Tensor, j: int, tape: Tape | None = None) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"col() expects a matrix, got {x.shape}")
-    out = Tensor(x.data[:, j].copy())
-    if tape is not None:
-        shape = x.data.shape
-
-        def bw(g):
-            z = np.zeros(shape)
-            z[:, j] = g
-            return (z,)
-
-        tape.record(out, (x,), bw)
-    return out
-
-
-def stack_cols(xs: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
-    """Stack 1-D tensors as the columns of a new matrix."""
-    if not xs:
-        raise DimensionError("stack_cols needs at least one column")
-    out = Tensor(np.stack([t.data for t in xs], axis=1))
-    if tape is not None:
-        n = len(xs)
-        tape.record(out, tuple(xs), lambda g: tuple(g[:, j] for j in range(n)))
     return out
 
 

@@ -2,9 +2,12 @@
 
 Node scores come from a linear projection of the recurrent hidden
 states; transitions are a learned [K, K] score matrix (plus an optional
-second-order matrix over labels two steps apart). Everything is kept in
-the log domain: the partition function uses the forward recursion, node
-marginals use forward-backward, and decoding uses max-plus Viterbi.
+second-order matrix over labels two steps apart). Both orders run on
+one engine: a second-order chain is a first-order chain over label
+pairs, so one log-space forward-backward gives the partition function
+and marginals and one max-plus Viterbi decodes. On a tape, log Z and
+the cost-sensitive loss are one node each with hand-written backward
+passes. Potentials must be finite; -inf is not a way to forbid a move.
 
 The ``brute_force_*`` functions enumerate all K^m sequences and exist
 purely as independent oracles for the dynamic programs.
@@ -24,14 +27,8 @@ from .autodiff import (
     add,
     affine,
     gather_pairs,
-    logsumexp,
-    mul,
-    neg,
     reduce_sum,
-    reshape,
-    row,
     scale,
-    stack_cols,
     sub,
     transpose,
 )
@@ -39,6 +36,7 @@ from .errors import (
     DimensionError,
     EmptySequenceError,
     GuardError,
+    NumericError,
     ParameterError,
 )
 
@@ -70,6 +68,10 @@ class CrfPotentials:
             raise DimensionError(
                 f"second-order matrix {self.second_order.shape} does not match {k} labels"
             )
+        for name in ("scores", "transitions", "edge_bias", "second_order"):
+            t = getattr(self, name)
+            if t is not None and not np.isfinite(t.data).all():
+                raise NumericError(f"CRF {name} must be finite (found NaN or inf)")
 
     @property
     def length(self) -> int:
@@ -145,105 +147,109 @@ def sequence_score(potentials: CrfPotentials, y, tape: Tape | None = None) -> Te
 
 
 # ---------------------------------------------------------------------------
-# exact inference (forward, forward-backward, Viterbi)
+# exact inference: one log-space chain engine for both orders
 # ---------------------------------------------------------------------------
 
 
-def _forward_1(p: CrfPotentials, tape: Tape | None) -> list[Tensor]:
-    """First-order forward messages, one [K] tensor per position."""
+def _chain(p: CrfPotentials) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lift the potentials to a first-order chain over the m positions.
+
+    Returns initial scores ``a0 [N]``, step scores ``psi [m-1, N, N]``
+    (entry [t, a, b] scores the move from state a at position t to
+    state b at t+1) and the number of slots per label, N = K * slots.
+    In a first-order chain a state is a label (one slot). In a
+    second-order chain the state at position t is the pair
+    (y_t, y_{t-1}) with index ``y_t * K + y_{t-1}``; position 0 has no
+    y_{-1} and uses slot 0 only, and moves between inconsistent pairs
+    score -inf. With the current label first, numpy's lowest-index
+    argmax prefers the lowest labels read from the last position
+    backwards, which is the enumeration oracle's tie rule.
+    """
+    s = p.scores.data
+    m, k = s.shape
+    slots = k if p.order == 2 else 1
+    a0 = np.full((k, slots), -np.inf)
+    a0[:, 0] = s[0]
+    # step[t, j, i, l]: move from (y_t, y_{t-1}) = (j, i) to y_{t+1} = l
+    step = (p.transitions.data + p.edge_bias.data)[None, :, None, :] + s[1:, None, None, :]
+    if slots == 1:
+        return a0.reshape(k), step.reshape(m - 1, k, k), 1
+    skip = np.zeros((m - 1, 1, k, k))  # the y_{t-1} -> y_{t+1} edge, absent at t = 0
+    skip[1:, 0] = p.second_order.data
+    psi = np.full((m - 1, k, k, k, k), -np.inf)
+    same = np.arange(k)
+    psi[:, same, :, :, same] = (step + skip).transpose(1, 0, 2, 3)
+    return a0.reshape(k * k), psi.reshape(m - 1, k * k, k * k), k
+
+
+def _chain_adjoint(p: CrfPotentials, g_a0: np.ndarray, g_psi: np.ndarray) -> tuple:
+    """Map gradients of (a0, psi) back to the potentials' tensors."""
     m, k = p.length, p.num_labels
-    alphas = [row(p.scores, 0, tape)]
-    for t in range(1, m):
-        prev = reshape(alphas[-1], (k, 1), tape)
-        msg = add(add(prev, p.transitions, tape), p.edge_bias, tape)
-        alphas.append(add(logsumexp(msg, axis=0, tape=tape), row(p.scores, t, tape), tape))
-    return alphas
+    slots = g_a0.size // k
+    g_step = g_psi.reshape(m - 1, k, slots, k, slots)
+    if slots == 1:
+        g_step = g_step[..., 0]
+    else:
+        same = np.arange(k)
+        g_step = g_step[:, same, :, :, same].transpose(1, 0, 2, 3)
+    g_s = np.empty((m, k))
+    g_s[0] = g_a0.reshape(k, slots)[:, 0]
+    g_s[1:] = g_step.sum(axis=(1, 2))
+    grads = (g_s, g_step.sum(axis=(0, 2)),
+             np.full(p.edge_bias.shape, g_step.sum()))
+    if p.order == 2:
+        grads += (g_step[1:].sum(axis=(0, 1)),)
+    return grads
 
 
-def _backward_1(p: CrfPotentials, tape: Tape | None) -> list[Tensor]:
-    m, k = p.length, p.num_labels
-    betas = [Tensor(np.zeros(k))]
-    for t in range(m - 2, -1, -1):
-        nxt = add(row(p.scores, t + 1, tape), betas[0], tape)
-        msg = add(add(p.transitions, reshape(nxt, (1, k), tape), tape), p.edge_bias, tape)
-        betas.insert(0, logsumexp(msg, axis=1, tape=tape))
-    return betas
+def _inputs(p: CrfPotentials) -> tuple[Tensor, ...]:
+    tensors = (p.scores, p.transitions, p.edge_bias)
+    return tensors if p.order == 1 else tensors + (p.second_order,)
 
 
-def _forward_2(p: CrfPotentials, tape: Tape | None) -> list[Tensor]:
-    """Second-order forward messages over label pairs (y_{t-1}, y_t)."""
-    m, k = p.length, p.num_labels
-    first = add(
-        add(reshape(row(p.scores, 0, tape), (k, 1), tape),
-            reshape(row(p.scores, 1, tape), (1, k), tape), tape),
-        add(p.transitions, p.edge_bias, tape), tape,
-    )
-    pairs = [first]
-    for t in range(2, m):
-        lifted = add(
-            reshape(pairs[-1], (k, k, 1), tape),
-            reshape(p.second_order, (k, 1, k), tape), tape,
-        )
-        collapsed = logsumexp(lifted, axis=0, tape=tape)  # [j, k]
-        step = add(add(p.transitions, p.edge_bias, tape),
-                   reshape(row(p.scores, t, tape), (1, k), tape), tape)
-        pairs.append(add(collapsed, step, tape))
-    return pairs
+def _lse(x: np.ndarray, axis: int) -> np.ndarray:
+    peak = x.max(axis=axis, keepdims=True)
+    return (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _backward_2(p: CrfPotentials, tape: Tape | None) -> list[Tensor]:
-    m, k = p.length, p.num_labels
-    betas = [Tensor(np.zeros((k, k)))]
-    for t in range(m - 2, 0, -1):
-        inner = add(
-            add(p.transitions, reshape(row(p.scores, t + 1, tape), (1, k), tape), tape),
-            add(betas[0], p.edge_bias, tape), tape,
-        )  # [k, l]
-        lifted = add(reshape(inner, (1, k, k), tape),
-                     reshape(p.second_order, (k, 1, k), tape), tape)  # [j, k, l]
-        betas.insert(0, logsumexp(lifted, axis=2, tape=tape))
-    return betas
+def _forward_backward(p: CrfPotentials):
+    """Log forward messages alpha and backward messages beta over the
+    lifted chain: (psi, alpha, beta, log Z, log state marginals [m, K, slots])."""
+    a0, psi, slots = _chain(p)
+    alpha = np.empty((p.length, a0.size))
+    alpha[0] = a0
+    for t, step in enumerate(psi):
+        alpha[t + 1] = _lse(alpha[t][:, None] + step, axis=0)
+    beta = np.zeros((p.length, a0.size))
+    for t in range(len(psi) - 1, -1, -1):
+        beta[t] = _lse(psi[t] + beta[t + 1], axis=1)
+    log_z = _lse(alpha[-1], axis=0)
+    log_states = (alpha + beta - log_z).reshape(p.length, p.num_labels, slots)
+    return psi, alpha, beta, log_z, log_states
 
 
 def log_partition(potentials: CrfPotentials, tape: Tape | None = None) -> Tensor:
-    """log Z: log-sum over all K^m sequences of exp(sequence_score)."""
-    if potentials.length == 1:
-        return logsumexp(row(potentials.scores, 0, tape), tape=tape)
-    if potentials.order == 1:
-        return logsumexp(_forward_1(potentials, tape)[-1], tape=tape)
-    return logsumexp(_forward_2(potentials, tape)[-1], tape=tape)
+    """log Z: log-sum over all K^m sequences of exp(sequence_score).
+
+    On a tape this is one node; its gradient is the expected count of
+    every state and move.
+    """
+    psi, alpha, beta, log_z, log_states = _forward_backward(potentials)
+    out = Tensor(log_z)
+    if tape is not None:
+
+        def bw(g):
+            g_psi = g * np.exp(alpha[:-1, :, None] + psi + beta[1:, None, :] - log_z)
+            return _chain_adjoint(potentials, g * np.exp(log_states[0]).reshape(-1), g_psi)
+
+        tape.record(out, _inputs(potentials), bw)
+    return out
 
 
-def _log_node_marginals(potentials: CrfPotentials, tape: Tape | None) -> tuple[Tensor, Tensor]:
-    """Return (log M as [m, K], log Z); rows of exp(log M) sum to one."""
-    m, k = potentials.length, potentials.num_labels
-    if m == 1:
-        s0 = row(potentials.scores, 0, tape)
-        z = logsumexp(s0, tape=tape)
-        return reshape(sub(s0, z, tape), (1, k), tape), z
-    if potentials.order == 1:
-        alphas = _forward_1(potentials, tape)
-        betas = _backward_1(potentials, tape)
-        z = logsumexp(alphas[-1], tape=tape)
-        cols = [sub(add(alphas[t], betas[t], tape), z, tape) for t in range(m)]
-        return transpose(stack_cols(cols, tape), tape), z
-    pair_fwd = _forward_2(potentials, tape)
-    pair_bwd = _backward_2(potentials, tape)
-    z = logsumexp(pair_fwd[-1], tape=tape)
-    cols = []
-    joined = [add(pair_fwd[t - 1], pair_bwd[t - 1], tape) for t in range(1, m)]
-    cols.append(sub(logsumexp(joined[0], axis=1, tape=tape), z, tape))
-    for t in range(1, m):
-        cols.append(sub(logsumexp(joined[t - 1], axis=0, tape=tape), z, tape))
-    return transpose(stack_cols(cols, tape), tape), z
-
-
-def marginals(potentials: CrfPotentials, tape: Tape | None = None) -> Tensor:
+def marginals(potentials: CrfPotentials) -> Tensor:
     """Per-position label probabilities M[t, k] from forward-backward."""
-    from .autodiff import exp as _exp
-
-    log_m, _ = _log_node_marginals(potentials, tape)
-    return _exp(log_m, tape)
+    log_states = _forward_backward(potentials)[-1]
+    return Tensor(np.exp(_lse(log_states, axis=2)))
 
 
 def crf_nll(potentials: CrfPotentials, y, tape: Tape | None = None) -> Tensor:
@@ -255,17 +261,40 @@ def cost_sensitive_loss(potentials: CrfPotentials, y, class_weights,
                         tape: Tape | None = None) -> Tensor:
     """Inverse-frequency weighted marginal loss, -sum_t a_{y_t} log M[t, y_t].
 
-    Gradients flow through the full forward-backward recursion.
+    On a tape this is one node, whose backward is the adjoint of the
+    forward and backward recursions.
     """
     m, k = potentials.length, potentials.num_labels
     labels = _check_labels(y, m, k)
     weights = np.asarray(class_weights, dtype=np.float64)
     if weights.shape != (k,) or np.any(weights <= 0):
         raise ParameterError(f"class weights must be {k} positive values")
-    log_m, _ = _log_node_marginals(potentials, tape)
-    picked = gather_pairs(log_m, np.arange(m), labels, tape)
-    weighted = mul(picked, Tensor(weights[labels]), tape)
-    return neg(reduce_sum(weighted, tape=tape), tape)
+    psi, alpha, beta, log_z, log_states = _forward_backward(potentials)
+    log_m = _lse(log_states, axis=2)
+    w = weights[labels]
+    out = Tensor(-(w * log_m[np.arange(m), labels]).sum())
+    if tape is not None:
+
+        def bw(g):
+            g_m = np.zeros((m, k))
+            g_m[np.arange(m), labels] = -g * w
+            # log M[t, l] = lse over slots of alpha + beta - log Z
+            g_state = (g_m[:, :, None] * np.exp(log_states - log_m[:, :, None])).reshape(m, -1)
+            g_alpha, g_beta = g_state.copy(), g_state
+            g_alpha[-1] += g * w.sum() * np.exp(alpha[-1] - log_z)
+            # beta[t] = lse_b(psi[t, :, b] + beta[t+1, b]); rows of `back` sum to one
+            back = np.exp(psi + beta[1:, None, :] - beta[:-1, :, None])
+            for t in range(m - 1):
+                g_beta[t + 1] += g_beta[t] @ back[t]
+            # alpha[t+1] = lse_a(alpha[t, a] + psi[t, a, :]); columns of `fwd` sum to one
+            fwd = np.exp(alpha[:-1, :, None] + psi - alpha[1:, None, :])
+            for t in range(m - 2, -1, -1):
+                g_alpha[t] += fwd[t] @ g_alpha[t + 1]
+            g_psi = g_beta[:-1, :, None] * back + fwd * g_alpha[1:, None, :]
+            return _chain_adjoint(potentials, g_alpha[0], g_psi)
+
+        tape.record(out, _inputs(potentials), bw)
+    return out
 
 
 def viterbi(potentials: CrfPotentials) -> tuple[list[int], float]:
@@ -275,42 +304,18 @@ def viterbi(potentials: CrfPotentials) -> tuple[list[int], float]:
     position backwards, so the result is deterministic and matches the
     brute-force oracle's rule.
     """
-    s = potentials.scores.data
-    t1 = potentials.transitions.data
-    be = float(potentials.edge_bias.data)
-    m, k = s.shape
-    if m == 1:
-        best = int(np.argmax(s[0]))
-        return [best], float(s[0, best])
-    if potentials.order == 1:
-        v = s[0]
-        back: list[np.ndarray] = []
-        for t in range(1, m):
-            cand = v[:, None] + t1 + be  # [prev, cur]
-            back.append(np.argmax(cand, axis=0))
-            v = cand.max(axis=0) + s[t]
-        last = int(np.argmax(v))
-        path = [last]
-        for bp in reversed(back):
-            path.append(int(bp[path[-1]]))
-        path.reverse()
-        return path, float(v[last])
-
-    t2 = potentials.second_order.data
-    pair = s[0][:, None] + s[1][None, :] + t1 + be  # [y0, y1]
-    back2: list[np.ndarray] = []
-    for t in range(2, m):
-        cand = pair[:, :, None] + t2[:, None, :]  # [i, j, k]
-        back2.append(np.argmax(cand, axis=0))
-        pair = cand.max(axis=0) + t1 + be + s[t][None, :]
-    col_best = pair.max(axis=0)
-    k_last = int(np.argmax(col_best))
-    j_last = int(np.argmax(pair[:, k_last]))
-    path = [j_last, k_last]
-    for bp in reversed(back2):
-        j, kk = path[0], path[1]
-        path.insert(0, int(bp[j, kk]))
-    return path, float(pair[j_last, k_last])
+    a0, psi, slots = _chain(potentials)
+    v = a0
+    back: list[np.ndarray] = []
+    for step in psi:
+        cand = v[:, None] + step
+        back.append(cand.argmax(axis=0))
+        v = cand.max(axis=0)
+    states = [int(np.argmax(v))]
+    score = float(v[states[0]])
+    for best in reversed(back):
+        states.append(int(best[states[-1]]))
+    return [s // slots for s in reversed(states)], score
 
 
 def l1_prox(params: ModelParams, threshold: float) -> ModelParams:

@@ -82,8 +82,8 @@ def gru_forward(
     if tape is not None:
 
         def bw(g):
-            # Written as the tape would evaluate the per-step primitives
-            # (col, matmul, add, sigmoid, mul, neg, ...), in its order:
+            # Written as the tape would evaluate the composed cell of
+            # tests/test_gru.py, primitive by primitive and in its order:
             # the sums below are not reassociated, and the column adjoints
             # gain the `+ 0.0` that scatter-adding zero matrices gives.
             gz, gr, gh = np.zeros(xz.shape), np.zeros(xr.shape), np.zeros(xh.shape)

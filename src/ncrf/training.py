@@ -141,12 +141,14 @@ def _record_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     tape = Tape()
     rng = rng_node.child("dropout", epoch, rec_idx).generator()
-    loss = record_loss(model_config, params, record, weights, training=True, rng=rng, tape=tape)
+    where = f"epoch {epoch}, record {record.subject_id!r}"
+    try:
+        loss = record_loss(model_config, params, record, weights, training=True, rng=rng, tape=tape)
+    except NumericError as e:  # non-finite CRF potentials
+        raise NumericError(f"{e} at {where}") from e
     value = loss.item()
     if not np.isfinite(value):
-        raise NumericError(
-            f"non-finite training loss at epoch {epoch}, record {record.subject_id!r}"
-        )
+        raise NumericError(f"non-finite training loss at {where}")
     tape.backward(loss)
     return value, {name: tape.grad(t) for name, t in params.items()}
 

@@ -15,6 +15,7 @@ from ncrf.autodiff import (
     ModelParams,
     Tape,
     Tensor,
+    add,
     affine,
     conv1d,
     dropout,
@@ -29,28 +30,26 @@ from ncrf.autodiff import (
     relu,
     reshape,
     sigmoid,
-    stack_cols,
     take_cols,
     tanh,
     transpose,
 )
-from ncrf.cnn import CnnConfig, ConvLayerSpec, cnn_forward, cnn_init, paper_cnn_config
+from ncrf.cli import gradcheck_battery
+from ncrf.cnn import cnn_forward, cnn_init, paper_cnn_config
 from ncrf.crf import (
     CrfPotentials,
     brute_force_best,
     brute_force_log_partition,
     brute_force_marginals,
-    cost_sensitive_loss,
     crf_nll,
     log_partition,
     marginals,
     potentials_from_hidden,
     viterbi,
 )
-from ncrf.data import Record, SynthConfig, skewed_config, split_by_subject, synth_generate
-from ncrf.gru import gru_forward, gru_init
+from ncrf.data import SynthConfig, skewed_config, split_by_subject, synth_generate
 from ncrf.metrics import kappa, kappa_from_confusion, se_mae, sleep_efficiency
-from ncrf.model import ModelConfig, evaluate, hidden_states, init_params, record_loss
+from ncrf.model import evaluate, hidden_states
 from ncrf.training import TrainConfig, train
 
 K = 4
@@ -159,14 +158,12 @@ def _primitive_batteries(rng):
     gather_params = ModelParams({"x": Tensor(rng.normal(size=(5, 4)))})
 
     def gather_loss(p, tape):
-        from ncrf.autodiff import col
-
         picked = gather_pairs(p["x"], [0, 2, 4, 1, 3], [3, 1, 0, 2, 2], tape)
         cols = take_cols(p["x"], [1, 3], tape)
-        both = stack_cols([picked, col(cols, 0, tape)], tape)
+        both = add(reshape(picked, (5, 1), tape), cols, tape)
         return logsumexp(reshape(both, (-1,), tape), tape=tape)
 
-    batteries["gather/take/stack/col"] = (gather_loss, gather_params)
+    batteries["gather/take"] = (gather_loss, gather_params)
 
     drop_params = ModelParams({"x": Tensor(rng.normal(size=(3, 8)))})
 
@@ -189,68 +186,32 @@ def test_criterion_2_gradient_fidelity():
         assert err < 1e-4, f"{name}: {err:.3e}"
         report.append(f"{name} {err:.1e}")
 
-    # CRF losses w.r.t. node scores and transition matrices
-    m = 6
-    y = rng.integers(0, K, size=m)
-    edge_bias = Tensor(rng.normal(size=()))
-    crf_params = ModelParams({
-        "S": Tensor(rng.normal(size=(m, K))),
-        "T1": Tensor(rng.normal(size=(K, K))),
-        "T2": Tensor(rng.normal(size=(K, K))),
-    })
-
-    def nll_loss(p, tape):
-        return crf_nll(CrfPotentials(p["S"], p["T1"], edge_bias, p["T2"]), y, tape)
-
-    def cs_loss(p, tape):
-        pot = CrfPotentials(p["S"], p["T1"], edge_bias, p["T2"])
-        return cost_sensitive_loss(pot, y, [0.5, 1.0, 2.0, 2.0], tape)
-
-    for name, loss in (("crf_nll", nll_loss), ("cost_sensitive", cs_loss)):
-        err = grad_check(loss, crf_params, eps=1e-5, samples=48, rng=rng)
+    # the CLI's battery: both CRF losses at both orders, the fused GRU with
+    # each candidate activation, and whole softmax / crf / crf2 models
+    battery = gradcheck_battery(tiny=False, seed=2)
+    assert {name for name, _ in battery} == {
+        "quadratic",
+        "crf_nll_order1", "cost_sensitive_order1",
+        "crf_nll_order2", "cost_sensitive_order2",
+        "gru_sigmoid", "gru_tanh",
+        "full_softmax", "full_crf", "full_crf2",
+    }
+    for name, err in battery:
         assert err < 1e-4, f"{name}: {err:.3e}"
         report.append(f"{name} {err:.1e}")
 
     # closed form: d(nll)/dS = marginals - onehot, against the tape
+    m = 6
+    y = rng.integers(0, K, size=m)
+    pot = CrfPotentials(Tensor(rng.normal(size=(m, K))), Tensor(rng.normal(size=(K, K))),
+                        Tensor(rng.normal(size=())))
     tape = Tape()
-    pot = CrfPotentials(crf_params["S"], crf_params["T1"], edge_bias)
     tape.backward(crf_nll(pot, y, tape))
     onehot = np.zeros((m, K))
     onehot[np.arange(m), y] = 1.0
-    closed_err = np.abs(tape.grad(crf_params["S"]) - (marginals(pot).data - onehot)).max()
+    closed_err = np.abs(tape.grad(pot.scores) - (marginals(pot).data - onehot)).max()
     assert closed_err < 1e-10
     report.append(f"closed-form dS {closed_err:.1e}")
-
-    # full network on a tiny profile
-    tiny_cnn = CnnConfig(
-        layers=(ConvLayerSpec(3, 2, 4), ConvLayerSpec(3, 2, 4)),
-        residual_pairs=((0, 1),),
-    )
-    for kind in ("crf", "crf2"):
-        config = ModelConfig(kind, tiny_cnn, hidden_dim=6, sample_rate_hz=2, epoch_seconds=2)
-        params = init_params(config, 3)
-        rec = Record("tiny", rng.normal(size=5 * 4), rng.integers(0, K, size=5),
-                     sample_rate_hz=2, epoch_seconds=2)
-
-        def full_loss(p, tape, _c=config, _r=rec):
-            return record_loss(_c, p, _r, training=False, tape=tape)
-
-        err = grad_check(full_loss, params, eps=1e-5, samples=60, rng=rng)
-        assert err < 1e-4, f"full {kind}: {err:.3e}"
-        report.append(f"full-{kind} {err:.1e}")
-
-    # the fused GRU node with the tanh candidate (record_loss above covers
-    # the default candidate)
-    gru_params = gru_init(3, 5, rng)
-    gru_params["x"] = Tensor(rng.normal(size=(3, 6)))
-
-    def gru_loss(p, tape):
-        h = gru_forward(p["x"], p, candidate_tanh=True, tape=tape)
-        return logsumexp(reshape(h, (-1,), tape), tape=tape)
-
-    err = grad_check(gru_loss, gru_params, eps=1e-5, samples=60, rng=rng)
-    assert err < 1e-4, f"fused gru (tanh): {err:.3e}"
-    report.append(f"fused-gru-tanh {err:.1e}")
 
     elapsed = time.time() - started
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"

@@ -178,6 +178,22 @@ def test_predict_unknown_subject_fails(tmp_path, corpus_dir, trained):
     ]) == 1
 
 
+def test_predict_rejects_nonfinite_transitions(tmp_path, corpus_dir, trained, capsys):
+    checkpoint = load_checkpoint(trained)
+    checkpoint.params["crf.T1"].data[1, 2] = np.nan
+    bad = tmp_path / "nan.ncrf"
+    save_checkpoint(bad, checkpoint)
+    capsys.readouterr()
+    assert main([
+        "predict", "--checkpoint", str(bad), "--data", str(corpus_dir / "manifest.txt"),
+        "--out", str(tmp_path / "preds"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "transitions" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # saliency / inspect / gradcheck
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncrf.autodiff import Tape, Tensor, col, grad_check, reduce_sum
+from ncrf.autodiff import Tape, Tensor, grad_check, reduce_sum, take_cols
 from ncrf.cnn import (
     CnnConfig,
     ConvLayerSpec,
@@ -192,7 +192,7 @@ def test_input_span_covers_gradient_support():
     for feat in (0, 3, 7):
         tape = Tape()
         out = cnn_forward(x, config, params, tape=tape)
-        tape.backward(reduce_sum(col(out, feat, tape), tape=tape))
+        tape.backward(reduce_sum(take_cols(out, [feat], tape), tape=tape))
         support = np.flatnonzero(tape.grad(x)[0])
         lo, hi = input_span(config, n, feat)
         assert support.size

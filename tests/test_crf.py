@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncrf.autodiff import ModelParams, Tape, Tensor, grad_check
 from ncrf.crf import (
@@ -19,7 +21,7 @@ from ncrf.crf import (
     sequence_score,
     viterbi,
 )
-from ncrf.errors import GuardError, ParameterError
+from ncrf.errors import GuardError, NumericError, ParameterError
 
 K = 4
 
@@ -106,6 +108,17 @@ def test_sequence_score_rejects_bad_labels():
         sequence_score(pot, [0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["scores", "transitions", "edge_bias", "second_order"])
+def test_potentials_reject_nonfinite_values(field, bad):
+    pot = zero_potentials(3, order=2)
+    values = {name: getattr(pot, name).data.copy() for name in
+              ("scores", "transitions", "edge_bias", "second_order")}
+    values[field].reshape(-1)[-1] = bad
+    with pytest.raises(NumericError, match=field):
+        CrfPotentials(*(Tensor(v) for v in values.values()))
+
+
 # ---------------------------------------------------------------------------
 # partition function and marginals
 # ---------------------------------------------------------------------------
@@ -152,6 +165,24 @@ def test_inference_matches_brute_force(order, m_lo, m_hi):
         bf_path, bf_score = brute_force_best(pot)
         assert path == bf_path
         assert score == pytest.approx(bf_score, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e2, 1e3, 1e4]),
+       order=st.sampled_from([1, 2]), m=st.integers(1, 6))
+def test_inference_matches_brute_force_at_extreme_scores(seed, scale, order, m):
+    # relative bounds, floored at 1 for values near zero; the path itself
+    # is not compared, since sums taken in another order may break a
+    # near-tie differently
+    pot = make_potentials(np.random.default_rng(seed), m, order, sigma=scale)
+    z = brute_force_log_partition(pot)
+    assert abs(log_partition(pot).item() - z) <= 1e-12 * max(1.0, abs(z))
+    np.testing.assert_allclose(marginals(pot).data, brute_force_marginals(pot), rtol=0, atol=1e-9)
+    path, _ = viterbi(pot)
+    seqs, scores = _enumerate_scores(pot)
+    best = scores.max()
+    path_score = scores[np.flatnonzero((seqs == path).all(axis=1))[0]]
+    assert abs(path_score - best) <= 1e-12 * max(1.0, abs(best))
 
 
 def test_marginal_rows_sum_to_one():
@@ -286,6 +317,23 @@ def test_viterbi_all_zero_prefers_lowest_labels():
     assert path2 == [0, 0, 0]
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_viterbi_exact_ties_follow_the_oracle(order):
+    # integer sums are exact in any order, so these ties are real; reading
+    # them from the first position instead of the last picks another path
+    # in 218 (order 1) and 207 (order 2) of these draws
+    rng = np.random.default_rng(11)
+    for _ in range(1500):
+        m = int(rng.integers(1, 7))
+        pot = CrfPotentials(
+            scores=Tensor(rng.integers(-1, 2, size=(m, K))),
+            transitions=Tensor(rng.integers(-1, 2, size=(K, K))),
+            edge_bias=Tensor(rng.integers(-1, 2)),
+            second_order=Tensor(rng.integers(-1, 2, size=(K, K))) if order == 2 else None,
+        )
+        assert viterbi(pot) == brute_force_best(pot)
+
+
 def test_viterbi_decouples_without_transitions():
     rng = np.random.default_rng(2)
     pot = zero_potentials(6)
@@ -362,20 +410,37 @@ def test_closed_form_node_gradient():
 
 
 def test_transition_gradient_of_log_partition_is_expected_counts():
-    # d log Z / d T1[i, j] = expected number of i -> j moves under the model
+    # d log Z / d T1[i, j] = expected number of i -> j moves under the model,
+    # d log Z / d T2[i, k] = expected number of (y_{t-2}, y_t) = (i, k) pairs,
+    # and every sequence has m - 1 first-order edges, so d log Z / d b_e = m - 1
     rng = np.random.default_rng(12)
-    for m in range(1, 7):
-        for _ in range(20):
-            pot = make_potentials(rng, m)
-            tape = Tape()
-            tape.backward(log_partition(pot, tape))
-            seqs, scores = _enumerate_scores(pot)
-            w = np.exp(scores - scores.max())
-            w /= w.sum()
-            counts = np.zeros((K, K))
-            for t in range(m - 1):
-                np.add.at(counts, (seqs[:, t], seqs[:, t + 1]), w)
-            assert np.abs(tape.grad(pot.transitions) - counts).max() < 1e-9
+    for order in (1, 2):
+        for m in range(1, 7):
+            for _ in range(20):
+                pot = make_potentials(rng, m, order)
+                tape = Tape()
+                tape.backward(log_partition(pot, tape))
+                seqs, scores = _enumerate_scores(pot)
+                w = np.exp(scores - scores.max())
+                w /= w.sum()
+                for gap, table in ((1, pot.transitions), (2, pot.second_order)):
+                    if table is None:
+                        continue
+                    counts = np.zeros((K, K))
+                    for t in range(m - gap):
+                        np.add.at(counts, (seqs[:, t], seqs[:, t + gap]), w)
+                    assert np.abs(tape.grad(table) - counts).max() < 1e-9
+                assert abs(tape.grad(pot.edge_bias) - (m - 1)) < 1e-9
+
+
+def test_log_partition_and_cost_sensitive_loss_are_one_tape_node_each():
+    rng = np.random.default_rng(13)
+    for order in (1, 2):
+        pot = make_potentials(rng, 9, order)
+        tape = Tape()
+        log_partition(pot, tape)
+        cost_sensitive_loss(pot, rng.integers(0, K, size=9), np.ones(K), tape)
+        assert len(tape) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from ncrf.autodiff import (
     _sigmoid,
     add,
     affine,
-    col,
     grad_check,
     logsumexp,
     matmul,
@@ -20,7 +19,6 @@ from ncrf.autodiff import (
     reshape,
     scale,
     sigmoid,
-    stack_cols,
     tanh,
 )
 from ncrf.data import Record
@@ -29,8 +27,30 @@ from ncrf.gru import gru_forward, gru_init
 from ncrf.model import desk_config, init_params, record_loss
 
 # ---------------------------------------------------------------------------
-# reference: the same cell spelled out step by step in tape primitives
+# reference: the same cell spelled out step by step in tape primitives, with
+# local copies of the column primitives the package no longer needs
 # ---------------------------------------------------------------------------
+
+
+def _col(x, j, tape=None):
+    out = Tensor(x.data[:, j].copy())
+    if tape is not None:
+        shape = x.data.shape
+
+        def bw(g):
+            z = np.zeros(shape)
+            z[:, j] = g
+            return (z,)
+
+        tape.record(out, (x,), bw)
+    return out
+
+
+def _stack_cols(xs, tape=None):
+    out = Tensor(np.stack([t.data for t in xs], axis=1))
+    if tape is not None:
+        tape.record(out, tuple(xs), lambda g: tuple(g[:, j] for j in range(len(xs))))
+    return out
 
 
 def _add_const(a, c, tape=None):
@@ -49,9 +69,9 @@ def composed_gru(features, params, candidate_tanh=False, tape=None):
     in_h = affine(features, params["gru.W_h"], params["gru.b_h"], tape)
     states = []
     for t in range(m):
-        u = sigmoid(add(col(in_z, t, tape), matmul(params["gru.U_z"], h, tape), tape), tape)
-        r = sigmoid(add(col(in_r, t, tape), matmul(params["gru.U_r"], h, tape), tape), tape)
-        pre = add(col(in_h, t, tape), mul(r, matmul(params["gru.U_h"], h, tape), tape), tape)
+        u = sigmoid(add(_col(in_z, t, tape), matmul(params["gru.U_z"], h, tape), tape), tape)
+        r = sigmoid(add(_col(in_r, t, tape), matmul(params["gru.U_r"], h, tape), tape), tape)
+        pre = add(_col(in_h, t, tape), mul(r, matmul(params["gru.U_h"], h, tape), tape), tape)
         if candidate_tanh:
             cand = tanh(pre, tape)
         else:
@@ -59,7 +79,7 @@ def composed_gru(features, params, candidate_tanh=False, tape=None):
         keep = _add_const(neg(u, tape), 1.0, tape)
         h = add(mul(u, h, tape), mul(keep, cand, tape), tape)
         states.append(h)
-    return stack_cols(states, tape)
+    return _stack_cols(states, tape)
 
 
 def _masked_sigmoid(v):
