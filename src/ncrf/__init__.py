@@ -1,11 +1,11 @@
 """Sleep staging from raw airflow signal.
 
 A 1-D residual CNN turns the signal into one feature vector per epoch,
-a unidirectional GRU adds temporal context, and either an independent
-softmax head or a chain CRF produces the stage sequence. Training is
-end-to-end through a small reverse-mode tape, with an optional
-inverse-frequency class prior and an L1 proximal step that sparsifies
-the CRF parameters. Exact inference (forward-backward, Viterbi) is
+a unidirectional GRU adds temporal context, and a chain CRF produces
+the stage sequence; the softmax baseline is the chain with no edges.
+Training is end-to-end through a small reverse-mode tape, with an
+optional inverse-frequency class prior and an L1 proximal step that
+sparsifies the CRF parameters. Exact inference (forward-backward, Viterbi) is
 validated against brute-force enumeration oracles in the test suite.
 """
 
@@ -35,7 +35,6 @@ from .data import (
     synth_generate,
 )
 from .gru import gru_forward, gru_init
-from .heads import softmax_nll, softmax_predict
 from .metrics import EvalReport, accuracy, eval_report, kappa, se_mae, sleep_efficiency
 from .model import ModelConfig, decode_record, desk_config, evaluate, init_params, paper_config
 from .saliency import export_saliency, saliency_map
@@ -88,8 +87,6 @@ __all__ = [
     "se_mae",
     "sequence_score",
     "sleep_efficiency",
-    "softmax_nll",
-    "softmax_predict",
     "split_by_subject",
     "synth_generate",
     "train",

@@ -238,14 +238,6 @@ def tanh(x: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def log(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.log(x.data))
-    if tape is not None:
-        dx = x.data
-        tape.record(out, (x,), lambda g: (g / dx,))
-    return out
-
-
 def exp(x: Tensor, tape: Tape | None = None) -> Tensor:
     y = np.exp(x.data)
     out = Tensor(y)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import ModelParams, Tensor, grad_check, mul, reduce_sum, scale
 from .cnn import CnnConfig, ConvLayerSpec, desk_cnn_config, paper_cnn_config
-from .crf import CrfPotentials, cost_sensitive_loss, crf_nll
+from .crf import CrfPotentials, cost_sensitive_loss, crf_init, crf_nll, potentials_from_hidden
 from .data import (
     STAGE_TOKENS,
     Record,
@@ -29,7 +29,6 @@ from .data import (
 )
 from .errors import NcrfError, ParameterError
 from .gru import gru_forward, gru_init
-from .heads import head_init, softmax_nll, softmax_rows, softmax_logits
 from .metrics import write_report
 from .model import ModelConfig, decode_record, evaluate, init_params, record_loss
 from .saliency import export_saliency, saliency_map
@@ -208,12 +207,12 @@ def gradcheck_battery(tiny: bool, seed: int) -> list[tuple[str, float]]:
     yg = rng.integers(0, 4, size=steps)
     for candidate in ("sigmoid", "tanh"):
         gp = gru_init(feat, hid, rng)
-        gp.update(head_init(hid, 4, rng))
+        gp.update(crf_init(hid, 4, order=0, rng=rng))
         gp["Z"] = Tensor(rng.normal(size=(feat, steps)))
 
         def gru_loss(p, tape, _tanh=candidate == "tanh"):
             h = gru_forward(p["Z"], p, candidate_tanh=_tanh, tape=tape)
-            return softmax_nll(softmax_rows(softmax_logits(h, p, tape), tape), yg, tape=tape)
+            return crf_nll(potentials_from_hidden(h, p, tape), yg, tape)
 
         results.append((f"gru_{candidate}", grad_check(gru_loss, gp, samples=40, rng=rng)))
 
@@ -249,7 +248,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_inspect(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    if not checkpoint.model_config.uses_crf:
+    if checkpoint.model_config.crf_order == 0:
         raise ParameterError("inspect needs a crf or crf2 checkpoint")
     t1 = checkpoint.params["crf.T1"].data
     normalized = np.exp(t1 - t1.max(axis=1, keepdims=True))

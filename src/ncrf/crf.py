@@ -1,13 +1,17 @@
-"""Structured output layer: chain CRF potentials and exact inference.
+"""Output layer: chain CRF potentials and exact inference.
 
 Node scores come from a linear projection of the recurrent hidden
 states; transitions are a learned [K, K] score matrix (plus an optional
-second-order matrix over labels two steps apart). Both orders run on
-one engine: a second-order chain is a first-order chain over label
-pairs, so one log-space forward-backward gives the partition function
-and marginals and one max-plus Viterbi decodes. On a tape, log Z and
-the cost-sensitive loss are one node each with hand-written backward
-passes. Potentials must be finite; -inf is not a way to forbid a move.
+second-order matrix over labels two steps apart). Every order runs on
+one engine. The softmax baseline is order 0, the chain with no edges:
+its transitions are held at zero, so positions are independent, log Z
+is a sum of per-position log-sum-exps, marginals are row softmaxes and
+Viterbi is a per-position argmax. A second-order chain is a
+first-order chain over label pairs. So one log-space forward-backward
+gives the partition function and marginals and one max-plus Viterbi
+decodes. On a tape, log Z and the cost-sensitive loss are one node each
+with hand-written backward passes. Potentials must be finite; -inf is
+not a way to forbid a move.
 
 The ``brute_force_*`` functions enumerate all K^m sequences and exist
 purely as independent oracles for the dynamic programs.
@@ -88,15 +92,19 @@ class CrfPotentials:
 
 def crf_init(hidden_dim: int, num_labels: int = 4, order: int = 1,
              rng: np.random.Generator | None = None) -> ModelParams:
-    """Fresh CRF parameters: scaled-uniform node projection, zero transitions."""
-    if order not in (1, 2):
-        raise ParameterError(f"CRF order must be 1 or 2, got {order}")
+    """Fresh output-layer parameters: scaled-uniform node projection, zero
+    transitions. Order 0, the softmax baseline, has only the projection,
+    named ``head.W_o`` and ``head.b``."""
+    if order not in (0, 1, 2):
+        raise ParameterError(f"CRF order must be 0, 1 or 2, got {order}")
     if rng is None:
         rng = np.random.default_rng(0)
     bound = np.sqrt(3.0 / hidden_dim)
-    params = ModelParams()
-    params["crf.w_n"] = Tensor(rng.uniform(-bound, bound, size=(num_labels, hidden_dim)))
-    params["crf.b_n"] = Tensor(np.zeros(num_labels))
+    w = Tensor(rng.uniform(-bound, bound, size=(num_labels, hidden_dim)))
+    b = Tensor(np.zeros(num_labels))
+    if order == 0:
+        return ModelParams({"head.W_o": w, "head.b": b})
+    params = ModelParams({"crf.w_n": w, "crf.b_n": b})
     params["crf.T1"] = Tensor(np.zeros((num_labels, num_labels)))
     params["crf.b_e"] = Tensor(np.zeros(()))
     if order == 2:
@@ -105,16 +113,22 @@ def crf_init(hidden_dim: int, num_labels: int = 4, order: int = 1,
 
 
 def node_scores(hidden: Tensor, params: ModelParams, tape: Tape | None = None) -> Tensor:
-    """S[t, k] = w_n[k] . h_t + b_n[k] for hidden states laid out [dim, m]."""
-    return transpose(affine(hidden, params["crf.w_n"], params["crf.b_n"], tape), tape)
+    """S[t, k] = w[k] . h_t + b[k] for hidden states laid out [dim, m], where
+    (w, b) is (crf.w_n, crf.b_n), or (head.W_o, head.b) for order 0."""
+    w, b = ("head.W_o", "head.b") if "head.W_o" in params else ("crf.w_n", "crf.b_n")
+    return transpose(affine(hidden, params[w], params[b], tape), tape)
 
 
 def potentials_from_hidden(hidden: Tensor, params: ModelParams,
                            tape: Tape | None = None) -> CrfPotentials:
+    """Potentials of any order; an order-0 parameter set gets constant
+    zero transitions and edge bias."""
+    scores = node_scores(hidden, params, tape)
+    k = scores.shape[1]
     return CrfPotentials(
-        scores=node_scores(hidden, params, tape),
-        transitions=params["crf.T1"],
-        edge_bias=params["crf.b_e"],
+        scores=scores,
+        transitions=params.get("crf.T1", Tensor(np.zeros((k, k)))),
+        edge_bias=params.get("crf.b_e", Tensor(np.zeros(()))),
         second_order=params.get("crf.T2"),
     )
 

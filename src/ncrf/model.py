@@ -1,12 +1,14 @@
-"""Full-network assembly: CNN -> GRU -> (softmax | CRF) over one record.
+"""Full-network assembly: CNN -> GRU -> chain CRF over one record.
 
 A ModelConfig pins everything needed to rebuild the network from a
 checkpoint: the convolution stack, recurrent width, output kind, and
-the record geometry it expects. Model kinds:
+the record geometry it expects. Model kinds, listed by CRF order:
 
-  softmax  per-epoch independent classification
+  softmax  per-epoch independent classification: the chain with no edges
   crf      first-order chain CRF output layer
   crf2     chain CRF with additional second-order edges
+
+Every kind trains on the same losses and decodes with the same Viterbi.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ import numpy as np
 from . import crf as crf_ops
 from .autodiff import ModelParams, Tape, Tensor
 from .cnn import CnnConfig, cnn_forward, cnn_init, desk_cnn_config, paper_cnn_config
-from .crf import potentials_from_hidden
 from .data import NUM_STAGES, Record
 from .errors import ConfigurationError, ParameterError
 from .gru import gru_forward, gru_init
-from .heads import argmax_decode, head_init, softmax_logits, softmax_nll, softmax_rows
 from .metrics import EvalReport, eval_report
 from .rng import SplitRng
 
@@ -47,12 +47,9 @@ class ModelConfig:
         self.cnn.validate_rate(self.sample_rate_hz * self.epoch_seconds)
 
     @property
-    def uses_crf(self) -> bool:
-        return self.model_kind in ("crf", "crf2")
-
-    @property
     def crf_order(self) -> int:
-        return 2 if self.model_kind == "crf2" else 1
+        """0 for softmax, 1 for crf, 2 for crf2."""
+        return MODEL_KINDS.index(self.model_kind)
 
 
 def desk_config(model_kind: str = "crf", hidden_dim: int = 64, channels: int = 32,
@@ -88,19 +85,16 @@ def init_params(config: ModelConfig, seed_or_rng) -> ModelParams:
     params = ModelParams()
     params.update(cnn_init(config.cnn, root.child("init.cnn").generator()))
     params.update(gru_init(feature_dim, config.hidden_dim, root.child("init.gru").generator()))
-    if config.uses_crf:
-        params.update(
-            crf_ops.crf_init(
-                config.hidden_dim,
-                num_labels=config.num_labels,
-                order=config.crf_order,
-                rng=root.child("init.crf").generator(),
-            )
+    # softmax draws from "init.head", so seeded softmax models keep their initial weights
+    stream = "init.crf" if config.crf_order else "init.head"
+    params.update(
+        crf_ops.crf_init(
+            config.hidden_dim,
+            num_labels=config.num_labels,
+            order=config.crf_order,
+            rng=root.child(stream).generator(),
         )
-    else:
-        params.update(
-            head_init(config.hidden_dim, config.num_labels, root.child("init.head").generator())
-        )
+    )
     return params
 
 
@@ -145,23 +139,19 @@ def record_loss(
     """Training objective for one record (sum over its epochs)."""
     check_record(config, record)
     hidden = hidden_states(config, params, _signal_tensor(record), training, rng, tape)
-    if config.uses_crf:
-        potentials = potentials_from_hidden(hidden, params, tape)
-        if class_weights is not None:
-            return crf_ops.cost_sensitive_loss(potentials, record.labels, class_weights, tape)
-        return crf_ops.crf_nll(potentials, record.labels, tape)
-    probs = softmax_rows(softmax_logits(hidden, params, tape), tape)
-    return softmax_nll(probs, record.labels, class_weights, tape)
+    potentials = crf_ops.potentials_from_hidden(hidden, params, tape)
+    if class_weights is not None:
+        return crf_ops.cost_sensitive_loss(potentials, record.labels, class_weights, tape)
+    return crf_ops.crf_nll(potentials, record.labels, tape)
 
 
 def decode_record(config: ModelConfig, params: ModelParams, record: Record) -> np.ndarray:
-    """Predicted stage per epoch: Viterbi for CRF kinds, argmax otherwise."""
+    """Predicted stage per epoch: the Viterbi path, which for the softmax
+    kind is the per-epoch argmax. Non-finite scores raise NumericError."""
     check_record(config, record)
     hidden = hidden_states(config, params, _signal_tensor(record))
-    if config.uses_crf:
-        path, _ = crf_ops.viterbi(potentials_from_hidden(hidden, params))
-        return np.asarray(path, dtype=np.intp)
-    return np.asarray(argmax_decode(softmax_logits(hidden, params)), dtype=np.intp)
+    path, _ = crf_ops.viterbi(crf_ops.potentials_from_hidden(hidden, params))
+    return np.asarray(path, dtype=np.intp)
 
 
 def evaluate(config: ModelConfig, params: ModelParams, records: list[Record]) -> EvalReport:

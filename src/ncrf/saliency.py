@@ -1,10 +1,10 @@
 """Input-gradient saliency for one epoch of a record.
 
 The per-sample weight is the absolute gradient of the target class's
-pre-normalization score (CRF node score, or logit for the softmax kind)
-with respect to the raw input signal, restricted to the samples owned
-by the chosen epoch and normalized by the slice maximum. An all-zero
-gradient slice stays all-zero.
+node score (for the softmax kind, its logit) with respect to the raw
+input signal, restricted to the samples owned by the chosen epoch and
+normalized by the slice maximum. An all-zero gradient slice stays
+all-zero.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Tensor, gather_pairs, reduce_sum
-from .crf import CrfPotentials, node_scores, viterbi
+from .crf import CrfPotentials, potentials_from_hidden, viterbi
 from .data import Record, SleepStage, STAGE_TOKENS
 from .errors import ParameterError
-from .heads import softmax_logits
 from .model import check_record, hidden_states
 from .training import Checkpoint
 
 
-def _resolve_target(target, scores: Tensor, checkpoint: Checkpoint, epoch_index: int) -> int:
+def _resolve_target(target, potentials: CrfPotentials, epoch_index: int) -> int:
     if isinstance(target, str) and target != "predicted":
         tok = target.strip().upper()
         if tok not in STAGE_TOKENS:
@@ -30,20 +29,11 @@ def _resolve_target(target, scores: Tensor, checkpoint: Checkpoint, epoch_index:
         return STAGE_TOKENS.index(tok)
     if target != "predicted":
         label = int(target)
-        if not 0 <= label < scores.shape[1]:
+        if not 0 <= label < potentials.num_labels:
             raise ParameterError(f"target class {label} out of range")
         return label
-    if checkpoint.model_config.uses_crf:
-        params = checkpoint.params
-        pot = CrfPotentials(
-            scores=Tensor(scores.data),
-            transitions=params["crf.T1"],
-            edge_bias=params["crf.b_e"],
-            second_order=params.get("crf.T2"),
-        )
-        path, _ = viterbi(pot)
-        return path[epoch_index]
-    return int(np.argmax(scores.data[epoch_index]))
+    path, _ = viterbi(potentials)
+    return path[epoch_index]
 
 
 def saliency_map(
@@ -62,12 +52,9 @@ def saliency_map(
     tape = Tape()
     signal = Tensor(record.signal.reshape(1, -1))
     hidden = hidden_states(config, checkpoint.params, signal, training=False, tape=tape)
-    if config.uses_crf:
-        scores = node_scores(hidden, checkpoint.params, tape)
-    else:
-        scores = softmax_logits(hidden, checkpoint.params, tape)
-    label = _resolve_target(target, scores, checkpoint, epoch_index)
-    score = reduce_sum(gather_pairs(scores, [epoch_index], [label], tape), tape=tape)
+    potentials = potentials_from_hidden(hidden, checkpoint.params, tape)
+    label = _resolve_target(target, potentials, epoch_index)
+    score = reduce_sum(gather_pairs(potentials.scores, [epoch_index], [label], tape), tape=tape)
     tape.backward(score)
     grad = tape.grad(signal)[0]
     spe = record.samples_per_epoch

@@ -36,6 +36,10 @@ from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"NCRF"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+CLIP_NORM = 5.0  # bound on the global gradient norm of each optimizer step
 
 
 @dataclass
@@ -44,9 +48,6 @@ class TrainConfig:
     cost_sensitive: bool = False
     l1_lambda: float = 0.005
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     max_epochs: int = 200
     patience: int = 10
     batch_size: int = 1
@@ -54,7 +55,6 @@ class TrainConfig:
     hidden_dim: int = 64
     cnn: CnnConfig | None = None  # None picks the desk stack
     candidate_tanh: bool = False
-    clip_norm: float = 5.0
 
     def __post_init__(self):
         if self.l1_lambda < 0:
@@ -92,15 +92,15 @@ class Checkpoint:
 class Adam:
     """Per-array Adam with bias correction."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
         for name in params:
@@ -111,7 +111,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            params[name].data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            params[name].data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> None:
@@ -179,7 +179,7 @@ def train(
     params = init_params(model_config, root)
     weights = class_prior([r.labels for r in train_records]) if config.cost_sensitive else None
 
-    adam = Adam(config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    adam = Adam(config.learning_rate)
     prox_threshold = config.l1_lambda * config.learning_rate
     workers = _worker_count()
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -211,9 +211,9 @@ def train(
                 inv = 1.0 / len(batch)
                 for name in grads:
                     grads[name] *= inv
-                _clip_global_norm(grads, config.clip_norm)
+                _clip_global_norm(grads, CLIP_NORM)
                 adam.step(params, grads)
-                if model_config.uses_crf and prox_threshold > 0:
+                if prox_threshold > 0:
                     l1_prox(params, prox_threshold)
             val_kappa = evaluate(model_config, params, validation_records).kappa
             history.append(EpochStats(epoch, float(np.mean(losses)), val_kappa))

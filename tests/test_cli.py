@@ -194,6 +194,23 @@ def test_predict_rejects_nonfinite_transitions(tmp_path, corpus_dir, trained, ca
     assert "transitions" in captured.err
 
 
+def test_predict_rejects_nonfinite_softmax_weights(tmp_path, corpus_dir, capsys):
+    config = desk_config("softmax", hidden_dim=8, channels=4)
+    params = init_params(config, 0)
+    params["gru.U_z"].data[0, 0] = np.nan
+    bad = tmp_path / "nan.ncrf"
+    save_checkpoint(bad, Checkpoint(config, params, seed=0, epoch=0, val_kappa=0.0))
+    capsys.readouterr()
+    assert main([
+        "predict", "--checkpoint", str(bad), "--data", str(corpus_dir / "manifest.txt"),
+        "--out", str(tmp_path / "preds"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "scores" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # saliency / inspect / gradcheck
 # ---------------------------------------------------------------------------

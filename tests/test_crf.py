@@ -340,6 +340,11 @@ def test_viterbi_decouples_without_transitions():
     pot.scores.data[:] = rng.normal(size=(6, K))
     path, _ = viterbi(pot)
     assert path == list(np.argmax(pot.scores.data, axis=1))
+    # integer scores make exact ties, which go to the lowest label as in np.argmax
+    for _ in range(200):
+        pot = zero_potentials(int(rng.integers(1, 301)))
+        pot.scores.data[:] = rng.integers(-1, 2, size=pot.scores.shape)
+        assert viterbi(pot)[0] == list(np.argmax(pot.scores.data, axis=1))
 
 
 def test_viterbi_score_dominates_random_sequences():

@@ -3,7 +3,7 @@ import pytest
 
 from ncrf.autodiff import Tape, Tensor
 from ncrf.data import Record, SynthConfig, synth_generate
-from ncrf.errors import ConfigurationError
+from ncrf.errors import ConfigurationError, NumericError
 from ncrf.model import (
     ModelConfig,
     decode_record,
@@ -99,3 +99,25 @@ def test_evaluate_produces_report(small_records):
     report = evaluate(config, params, small_records)
     assert report.confusion.sum() == sum(r.num_epochs for r in small_records)
     assert -1.0 <= report.kappa <= 1.0
+
+
+def test_softmax_with_nan_weights_fails_to_decode(small_records):
+    config = desk_config("softmax", hidden_dim=8, channels=4)
+    params = init_params(config, 0)
+    params["gru.U_z"].data[0, 0] = np.nan
+    with pytest.raises(NumericError):
+        decode_record(config, params, small_records[0])
+
+
+def test_softmax_loss_finite_when_true_logit_is_far_below(small_records):
+    config = desk_config("softmax", hidden_dim=8, channels=4)
+    params = init_params(config, 0)
+    rec = small_records[0]
+    # wherever the first epoch's label is the true one, its logit sits about
+    # 2,000 below the row maximum, so exp(logit - log Z) underflows to 0
+    params["head.b"].data[rec.labels[0]] = -2000.0
+    tape = Tape()
+    loss = record_loss(config, params, rec, tape=tape)
+    assert np.isfinite(loss.item()) and loss.item() > 1000.0
+    tape.backward(loss)
+    assert all(np.isfinite(tape.grad(t)).all() for t in params.values())
