@@ -1,12 +1,15 @@
 """Dense float64 tensors and a reverse-mode differentiation tape.
 
-Every differentiable primitive the model needs lives here, except the
-GRU recurrence, which ``gru.gru_forward`` records as one node. An
-operation computes its value with numpy and, when a Tape is passed,
-appends a node holding the output, the input tensors, and a closure
-mapping the output adjoint to input adjoints. Because nodes are
-appended in execution order, walking the list backwards visits each
-node exactly once and is a valid reverse topological order.
+Every differentiable primitive the model runs lives here, except the
+fused layers that record themselves as one node each: the GRU
+recurrence (``gru.gru_forward``) and the CRF's log Z, NLL and
+cost-sensitive loss (``crf.log_partition``, ``crf.crf_nll``,
+``crf.cost_sensitive_loss``). An operation computes its value with
+numpy and, when a Tape is passed, appends a node holding the output,
+the input tensors, and a closure mapping the output adjoint to input
+adjoints. Because nodes are appended in execution order, walking the
+list backwards visits each node exactly once and is a valid reverse
+topological order.
 
 Passing ``tape=None`` runs the same forward math without recording,
 which is how inference-only paths avoid graph overhead.
@@ -130,14 +133,6 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(a.data - b.data)
-    if tape is not None:
-        sa, sb = a.data.shape, b.data.shape
-        tape.record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-    return out
-
-
 def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor(a.data * b.data)
     if tape is not None:
@@ -147,20 +142,6 @@ def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
             (a, b),
             lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)),
         )
-    return out
-
-
-def neg(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(-a.data)
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (-g,))
-    return out
-
-
-def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
-    out = Tensor(a.data * c)
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (g * c,))
     return out
 
 
@@ -222,30 +203,6 @@ def _sigmoid(v: Array) -> Array:
     return np.where(v >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
-    s = _sigmoid(np.asarray(x.data))
-    out = Tensor(s)
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g * s * (1.0 - s),))
-    return out
-
-
-def tanh(x: Tensor, tape: Tape | None = None) -> Tensor:
-    y = np.tanh(x.data)
-    out = Tensor(y)
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g * (1.0 - y * y),))
-    return out
-
-
-def exp(x: Tensor, tape: Tape | None = None) -> Tensor:
-    y = np.exp(x.data)
-    out = Tensor(y)
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g * y,))
-    return out
-
-
 def reduce_sum(x: Tensor, axis: int | None = None, tape: Tape | None = None) -> Tensor:
     out = Tensor(np.sum(x.data, axis=axis))
     if tape is not None:
@@ -260,38 +217,12 @@ def reduce_sum(x: Tensor, axis: int | None = None, tape: Tape | None = None) -> 
     return out
 
 
-def logsumexp(x: Tensor, axis: int | None = None, tape: Tape | None = None) -> Tensor:
-    """Numerically stable log-sum-exp along ``axis`` (None = all)."""
-    d = x.data
-    m = np.max(d, axis=axis, keepdims=True)
-    y = np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(d - m), axis=axis)) if axis is not None \
-        else np.squeeze(m) + np.log(np.sum(np.exp(d - m)))
-    out = Tensor(y)
-    if tape is not None:
-
-        def bw(g):
-            ye = np.expand_dims(y, axis) if axis is not None else y
-            ge = np.expand_dims(g, axis) if axis is not None else g
-            return (ge * np.exp(d - ye),)
-
-        tape.record(out, (x,), bw)
-    return out
-
-
 def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:
     if x.ndim != 2:
         raise DimensionError(f"transpose expects a matrix, got {x.shape}")
     out = Tensor(x.data.T.copy())
     if tape is not None:
         tape.record(out, (x,), lambda g: (g.T,))
-    return out
-
-
-def reshape(x: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tensor:
-    orig = x.data.shape
-    out = Tensor(x.data.reshape(shape))
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g.reshape(orig),))
     return out
 
 
@@ -486,17 +417,11 @@ def dropout(
 class ModelParams(dict):
     """Named learnable arrays, e.g. ``"gru.W_z" -> Tensor``.
 
-    Plain dict with insertion order; helpers below are the only additions.
+    Plain dict with insertion order; ``clone`` is the only addition.
     """
 
     def clone(self) -> "ModelParams":
         return ModelParams({k: Tensor(v.data.copy()) for k, v in self.items()})
-
-    def total_size(self) -> int:
-        return sum(v.size for v in self.values())
-
-    def subset(self, prefix: str) -> "ModelParams":
-        return ModelParams({k: v for k, v in self.items() if k.startswith(prefix)})
 
 
 def grad_check(

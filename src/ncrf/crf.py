@@ -9,9 +9,9 @@ is a sum of per-position log-sum-exps, marginals are row softmaxes and
 Viterbi is a per-position argmax. A second-order chain is a
 first-order chain over label pairs. So one log-space forward-backward
 gives the partition function and marginals and one max-plus Viterbi
-decodes. On a tape, log Z and the cost-sensitive loss are one node each
-with hand-written backward passes. Potentials must be finite; -inf is
-not a way to forbid a move.
+decodes. On a tape, log Z, the NLL and the cost-sensitive loss are one
+node each with hand-written backward passes. Potentials must be
+finite; -inf is not a way to forbid a move.
 
 The ``brute_force_*`` functions enumerate all K^m sequences and exist
 purely as independent oracles for the dynamic programs.
@@ -24,18 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import (
-    ModelParams,
-    Tape,
-    Tensor,
-    add,
-    affine,
-    gather_pairs,
-    reduce_sum,
-    scale,
-    sub,
-    transpose,
-)
+from .autodiff import ModelParams, Tape, Tensor, affine, transpose
 from .errors import (
     DimensionError,
     EmptySequenceError,
@@ -142,21 +131,17 @@ def _check_labels(y, m: int, k: int) -> np.ndarray:
     return labels
 
 
-def sequence_score(potentials: CrfPotentials, y, tape: Tape | None = None) -> Tensor:
-    """Unnormalized log-score of one label sequence."""
+def sequence_score(potentials: CrfPotentials, y) -> float:
+    """Unnormalized log-score of one label sequence: node terms, then
+    edges plus the edge bias, then second-order skips."""
     m, k = potentials.length, potentials.num_labels
     labels = _check_labels(y, m, k)
-    total = reduce_sum(gather_pairs(potentials.scores, np.arange(m), labels, tape), tape=tape)
+    total = np.sum(potentials.scores.data[np.arange(m), labels])
     if m >= 2:
-        edges = reduce_sum(
-            gather_pairs(potentials.transitions, labels[:-1], labels[1:], tape), tape=tape
-        )
-        total = add(total, add(edges, scale(potentials.edge_bias, float(m - 1), tape), tape), tape)
+        edges = np.sum(potentials.transitions.data[labels[:-1], labels[1:]])
+        total = total + (edges + potentials.edge_bias.data * float(m - 1))
     if potentials.order == 2 and m >= 3:
-        skips = reduce_sum(
-            gather_pairs(potentials.second_order, labels[:-2], labels[2:], tape), tape=tape
-        )
-        total = add(total, skips, tape)
+        total = total + np.sum(potentials.second_order.data[labels[:-2], labels[2:]])
     return total
 
 
@@ -242,21 +227,24 @@ def _forward_backward(p: CrfPotentials):
     return psi, alpha, beta, log_z, log_states
 
 
+def _expected_counts(p: CrfPotentials, fb: tuple, g) -> tuple:
+    """Adjoint of log Z scaled by g: the expected count of every state
+    and move, mapped back to the potentials' tensors."""
+    psi, alpha, beta, log_z, log_states = fb
+    g_psi = g * np.exp(alpha[:-1, :, None] + psi + beta[1:, None, :] - log_z)
+    return _chain_adjoint(p, g * np.exp(log_states[0]).reshape(-1), g_psi)
+
+
 def log_partition(potentials: CrfPotentials, tape: Tape | None = None) -> Tensor:
     """log Z: log-sum over all K^m sequences of exp(sequence_score).
 
     On a tape this is one node; its gradient is the expected count of
     every state and move.
     """
-    psi, alpha, beta, log_z, log_states = _forward_backward(potentials)
-    out = Tensor(log_z)
+    fb = _forward_backward(potentials)
+    out = Tensor(fb[3])
     if tape is not None:
-
-        def bw(g):
-            g_psi = g * np.exp(alpha[:-1, :, None] + psi + beta[1:, None, :] - log_z)
-            return _chain_adjoint(potentials, g * np.exp(log_states[0]).reshape(-1), g_psi)
-
-        tape.record(out, _inputs(potentials), bw)
+        tape.record(out, _inputs(potentials), lambda g: _expected_counts(potentials, fb, g))
     return out
 
 
@@ -266,9 +254,39 @@ def marginals(potentials: CrfPotentials) -> Tensor:
     return Tensor(np.exp(_lse(log_states, axis=2)))
 
 
+def _scatter(shape: tuple[int, int], rows, cols, g) -> np.ndarray:
+    """Zeros of ``shape`` with g added once per (row, col) pair, in order."""
+    z = np.zeros(shape)
+    np.add.at(z, (rows, cols), np.full(len(rows), g))
+    return z
+
+
 def crf_nll(potentials: CrfPotentials, y, tape: Tape | None = None) -> Tensor:
-    """Negative log-likelihood log Z - score(y); non-negative."""
-    return sub(log_partition(potentials, tape), sequence_score(potentials, y, tape), tape)
+    """Negative log-likelihood log Z - score(y); non-negative.
+
+    On a tape this is one node; its gradient is the expected counts
+    minus the observed counts of y. Each tensor's observed part is
+    summed first, as a tape of separate score nodes would sum it.
+    """
+    m, k = potentials.length, potentials.num_labels
+    labels = _check_labels(y, m, k)
+    fb = _forward_backward(potentials)
+    out = Tensor(fb[3] - sequence_score(potentials, labels))
+    if tape is not None:
+
+        def bw(g):
+            grads = list(_expected_counts(potentials, fb, g))
+            neg = -g
+            grads[0] = _scatter((m, k), np.arange(m), labels, neg) + grads[0]
+            if m >= 2:
+                grads[1] = _scatter((k, k), labels[:-1], labels[1:], neg) + grads[1]
+                grads[2] = neg * float(m - 1) + grads[2]
+            if potentials.order == 2 and m >= 3:
+                grads[3] = _scatter((k, k), labels[:-2], labels[2:], neg) + grads[3]
+            return tuple(grads)
+
+        tape.record(out, _inputs(potentials), bw)
+    return out
 
 
 def cost_sensitive_loss(potentials: CrfPotentials, y, class_weights,

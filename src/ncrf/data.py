@@ -95,6 +95,17 @@ def parse_labels(lines, origin: str = "<labels>") -> np.ndarray:
     return np.asarray(out, dtype=np.intp)
 
 
+def _require_finite(signal: np.ndarray, path: Path, sid: str) -> None:
+    """Reject NaN and infinite samples, naming the first such line of a
+    signal file that np.loadtxt has already parsed."""
+    if np.isfinite(signal).all():
+        return
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        if not all(np.isfinite(float(tok)) for tok in raw.split(b"#")[0].split()):
+            raise DataParseError(f"{path}:{lineno}: non-finite sample in subject {sid!r}")
+    raise DataParseError(f"{path}: non-finite sample in subject {sid!r}")
+
+
 def load_records(
     manifest_path: str | Path,
     sample_rate_hz: int = 32,
@@ -125,6 +136,7 @@ def load_records(
             signal = np.loadtxt(sig_file, dtype=np.float64, ndmin=1)
         except (OSError, ValueError) as e:
             raise DataParseError(f"{sig_file}: {e}") from e
+        _require_finite(signal, sig_file, sid)
         try:
             labels = parse_labels(lab_file.read_text().splitlines(), origin=str(lab_file))
         except OSError as e:
@@ -263,13 +275,15 @@ class SynthConfig:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64).reshape(-1))
             if getattr(self, name).size != NUM_STAGES:
                 raise ParameterError(f"{name} needs {NUM_STAGES} values")
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(f"{name} must be finite")
         if self.num_subjects < 1 or self.epochs_per_subject < 1:
             raise ParameterError("num_subjects and epochs_per_subject must be positive")
         if self.sample_rate < 1 or self.epoch_seconds < 1:
             raise ParameterError("sample_rate and epoch_seconds must be positive")
         tm = self.transition_matrix
-        if tm.shape != (NUM_STAGES, NUM_STAGES) or (tm < 0).any():
-            raise ParameterError("transition_matrix must be 4x4 with non-negative entries")
+        if tm.shape != (NUM_STAGES, NUM_STAGES) or not np.isfinite(tm).all() or (tm < 0).any():
+            raise ParameterError("transition_matrix must be 4x4 with finite non-negative entries")
         if np.abs(tm.sum(axis=1) - 1.0).max() > 1e-12:
             raise ParameterError("transition_matrix rows must sum to 1 within 1e-12")
 

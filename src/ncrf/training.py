@@ -13,6 +13,7 @@ u64 dims, float64 payload), then a u32-length key=value metadata block.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +29,7 @@ from .data import Record, class_prior
 from .errors import (
     CheckpointFormatError,
     KindMismatchError,
+    NcrfError,
     NumericError,
     ParameterError,
 )
@@ -349,6 +351,12 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointFormatError(f"{what} is not UTF-8") from e
+
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Parse and validate a checkpoint file; never returns a partial model."""
@@ -362,16 +370,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     params = ModelParams()
     for i in range(n_arrays):
         name_len = r.u32(f"array {i} name length")
-        name = r.take(name_len, f"array {i} name").decode("utf-8")
+        name = r.text(name_len, f"array {i} name")
         rank = r.u32(f"{name}: rank")
         if rank > 8:
             raise CheckpointFormatError(f"{name}: implausible rank {rank}")
         dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"{name}: dims"))
-        count = int(np.prod(dims)) if rank else 1
-        payload = r.take(8 * count, f"{name}: payload")
-        params[name] = Tensor(np.frombuffer(payload, dtype="<f8").reshape(dims).copy())
+        # a product of Python ints cannot overflow, so take() checks the
+        # true byte count against the bytes left before anything is allocated
+        payload = r.take(8 * math.prod(dims), f"{name}: payload")
+        try:
+            params[name] = Tensor(np.frombuffer(payload, dtype="<f8").reshape(dims).copy())
+        except ValueError as e:  # an empty payload with an oversized dim
+            raise CheckpointFormatError(f"{name}: dims {dims}: {e}") from e
     meta_len = r.u32("metadata length")
-    meta_text = r.take(meta_len, "metadata").decode("utf-8")
+    meta_text = r.text(meta_len, "metadata")
     if r.pos != len(r.data):
         raise CheckpointFormatError("trailing bytes after metadata")
 
@@ -384,23 +396,27 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if key not in meta:
             raise CheckpointFormatError(f"metadata missing {key!r}")
 
-    model_config = ModelConfig(
-        model_kind=meta["model_kind"],
-        cnn=_cnn_from_text(meta),
-        hidden_dim=int(meta["hidden_dim"]),
-        sample_rate_hz=int(meta["sample_rate_hz"]),
-        epoch_seconds=int(meta["epoch_seconds"]),
-        candidate_tanh=meta["candidate_tanh"] == "1",
-        num_labels=int(meta["num_labels"]),
-    )
+    try:
+        model_config = ModelConfig(
+            model_kind=meta["model_kind"],
+            cnn=_cnn_from_text(meta),
+            hidden_dim=int(meta["hidden_dim"]),
+            sample_rate_hz=int(meta["sample_rate_hz"]),
+            epoch_seconds=int(meta["epoch_seconds"]),
+            candidate_tanh=meta["candidate_tanh"] == "1",
+            num_labels=int(meta["num_labels"]),
+        )
+        seed, epoch, val_kappa = int(meta["seed"]), int(meta["epoch"]), float(meta["val_kappa"])
+    except (ValueError, NcrfError) as e:
+        raise CheckpointFormatError(f"bad metadata: {e}") from e
     _validate_shapes(model_config, params)
     extras = {k[2:]: v for k, v in meta.items() if k.startswith("x.")}
     return Checkpoint(
         model_config=model_config,
         params=params,
-        seed=int(meta["seed"]),
-        epoch=int(meta["epoch"]),
-        val_kappa=float(meta["val_kappa"]),
+        seed=seed,
+        epoch=epoch,
+        val_kappa=val_kappa,
         extras=extras,
     )
 

@@ -19,19 +19,14 @@ from ncrf.autodiff import (
     affine,
     conv1d,
     dropout,
-    exp,
     gather_pairs,
     grad_check,
-    logsumexp,
     matmul,
     maxpool1d,
     mul,
     reduce_sum,
     relu,
-    reshape,
-    sigmoid,
     take_cols,
-    tanh,
     transpose,
 )
 from ncrf.cli import gradcheck_battery
@@ -51,6 +46,7 @@ from ncrf.data import SynthConfig, skewed_config, split_by_subject, synth_genera
 from ncrf.metrics import kappa, kappa_from_confusion, se_mae, sleep_efficiency
 from ncrf.model import evaluate, hidden_states
 from ncrf.training import TrainConfig, train
+from primitives import exp, logsumexp, reshape, sigmoid, tanh
 
 K = 4
 SPLIT_SEED = 7

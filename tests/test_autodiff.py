@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncrf.autodiff
 from ncrf.autodiff import (
     ModelParams,
     Tape,
@@ -11,22 +15,35 @@ from ncrf.autodiff import (
     affine,
     conv1d,
     dropout,
-    exp,
     gather_pairs,
     grad_check,
-    logsumexp,
     matmul,
     maxpool1d,
     mul,
     reduce_sum,
     relu,
-    reshape,
-    scale,
-    sigmoid,
     take_cols,
     transpose,
 )
 from ncrf.errors import DimensionError, NumericError, ParameterError
+from primitives import exp, logsumexp, reshape, scale, sigmoid
+
+
+def test_every_public_autodiff_name_is_imported_by_the_package():
+    # the tape holds only what the model runs: a primitive that no other
+    # module under src/ncrf imports belongs with the tests, not here
+    package = Path(ncrf.autodiff.__file__).parent
+    tree = ast.parse((package / "autodiff.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"}
+    imported = set()
+    for path in package.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+                imported.update(alias.name for alias in node.names)
+    assert sorted(defined - imported) == []
 
 
 def test_tensor_is_float64_row_major():

@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,24 @@ def test_predict_rejects_nonfinite_softmax_weights(tmp_path, corpus_dir, capsys)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "scores" in captured.err
+
+
+def test_predict_rejects_nonfinite_signal(tmp_path, corpus_dir, trained, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    signal = corpus / "synth0002.signal.txt"
+    lines = signal.read_text().splitlines()
+    lines[9] = "nan"
+    signal.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([
+        "predict", "--checkpoint", str(trained), "--data", str(corpus / "manifest.txt"),
+        "--out", str(tmp_path / "preds"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "synth0002.signal.txt:10:" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrf.autodiff import ModelParams, Tape, Tensor, grad_check
+from ncrf.autodiff import ModelParams, Tape, Tensor, add, gather_pairs, grad_check, mul, reduce_sum
 from ncrf.crf import (
     CrfPotentials,
     _enumerate_scores,
@@ -22,13 +22,18 @@ from ncrf.crf import (
     viterbi,
 )
 from ncrf.errors import GuardError, NumericError, ParameterError
+from primitives import scale, sub
 
 K = 4
 
 
 def make_potentials(rng, m, order=1, sigma=np.sqrt(2)):
+    """Random potentials; order 0 is the softmax chain, with zero edges."""
+    scores = Tensor(rng.normal(scale=sigma, size=(m, K)))
+    if order == 0:
+        return CrfPotentials(scores, Tensor(np.zeros((K, K))), Tensor(np.zeros(())))
     return CrfPotentials(
-        scores=Tensor(rng.normal(scale=sigma, size=(m, K))),
+        scores=scores,
         transitions=Tensor(rng.normal(scale=sigma, size=(K, K))),
         edge_bias=Tensor(rng.normal(scale=sigma)),
         second_order=Tensor(rng.normal(scale=sigma, size=(K, K))) if order == 2 else None,
@@ -440,12 +445,52 @@ def test_transition_gradient_of_log_partition_is_expected_counts():
 
 def test_log_partition_and_cost_sensitive_loss_are_one_tape_node_each():
     rng = np.random.default_rng(13)
-    for order in (1, 2):
+    for order in (0, 1, 2):
         pot = make_potentials(rng, 9, order)
         tape = Tape()
         log_partition(pot, tape)
         cost_sensitive_loss(pot, rng.integers(0, K, size=9), np.ones(K), tape)
-        assert len(tape) == 2
+        crf_nll(pot, rng.integers(0, K, size=9), tape)
+        assert len(tape) == 3
+
+
+def composed_nll(pot, y, tape=None):
+    """log Z minus the score of y, the score built from one tape node per
+    gather, sum, scale and add: the reference the fused NLL must match."""
+    m = pot.length
+    labels = np.asarray(y)
+    log_z = log_partition(pot, tape)
+    total = reduce_sum(gather_pairs(pot.scores, np.arange(m), labels, tape), tape=tape)
+    if m >= 2:
+        edges = reduce_sum(gather_pairs(pot.transitions, labels[:-1], labels[1:], tape), tape=tape)
+        total = add(total, add(edges, scale(pot.edge_bias, float(m - 1), tape), tape), tape)
+    if pot.order == 2 and m >= 3:
+        skips = reduce_sum(gather_pairs(pot.second_order, labels[:-2], labels[2:], tape), tape=tape)
+        total = add(total, skips, tape)
+    return sub(log_z, total, tape)
+
+
+@pytest.mark.parametrize("upstream", [1.0, -1.0, -0.0, 0.0])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_fused_nll_equals_composed_bytes(order, upstream):
+    # the loss and every potential's gradient, by bytes, under an upstream
+    # adjoint of 1, -1 and both zeros; random lengths repeat labels along the path
+    rng = np.random.default_rng(80 + order)
+    for m in [1, 2, 3] + [int(v) for v in rng.integers(4, 40, size=10)]:
+        for sigma in (1.0, 1e3):
+            pot = make_potentials(rng, m, order, sigma)
+            y = rng.integers(0, K, size=m)
+            runs = []
+            for nll_fn in (crf_nll, composed_nll):
+                tape = Tape()
+                nll = nll_fn(pot, y, tape)
+                tape.backward(mul(nll, Tensor(upstream), tape))
+                runs.append([nll.data.tobytes()] + [
+                    tape.grad(t).tobytes() for t in
+                    (pot.scores, pot.transitions, pot.edge_bias, pot.second_order)
+                    if t is not None
+                ])
+            assert runs[0] == runs[1], f"m={m} sigma={sigma}"
 
 
 # ---------------------------------------------------------------------------

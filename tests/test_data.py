@@ -82,6 +82,18 @@ def test_load_records_wrong_geometry_is_alignment_error(tmp_path):
         load_records(manifest, sample_rate_hz=8, epoch_seconds=4)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_records_rejects_nonfinite_samples(tmp_path, token):
+    records = synth_generate(SynthConfig(num_subjects=3, epochs_per_subject=4, seed=1))
+    manifest = write_corpus(records, tmp_path)
+    signal = tmp_path / "synth0001.signal.txt"
+    lines = signal.read_text().splitlines()
+    lines[5] = token
+    signal.write_text("\n".join(["# airflow", ""] + lines) + "\n")
+    with pytest.raises(DataParseError, match=r"synth0001\.signal\.txt:8: .*'synth0001'"):
+        load_records(manifest, sample_rate_hz=4, epoch_seconds=4)
+
+
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------
@@ -200,6 +212,16 @@ def test_synth_rejects_non_stochastic_matrix():
     bad[0, 0] += 0.01
     with pytest.raises(ParameterError):
         SynthConfig(transition_matrix=bad)
+
+
+@pytest.mark.parametrize(
+    "field", ["transition_matrix", "stage_freq", "stage_amp", "stage_amp_var", "stage_noise"]
+)
+def test_synth_config_rejects_nan(field):
+    value = getattr(SynthConfig(), field).copy()
+    value.reshape(-1)[1] = np.nan
+    with pytest.raises(ParameterError, match=field):
+        SynthConfig(**{field: value})
 
 
 def test_skewed_config_starves_rem_and_deep():

@@ -12,19 +12,14 @@ from ncrf.autodiff import (
     add,
     affine,
     grad_check,
-    logsumexp,
     matmul,
     mul,
-    neg,
-    reshape,
-    scale,
-    sigmoid,
-    tanh,
 )
 from ncrf.data import Record
 from ncrf.errors import EmptySequenceError
 from ncrf.gru import gru_forward, gru_init
 from ncrf.model import desk_config, init_params, record_loss
+from primitives import logsumexp, neg, reshape, scale, sigmoid, tanh
 
 # ---------------------------------------------------------------------------
 # reference: the same cell spelled out step by step in tape primitives, with

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncrf.autodiff import Tape
 from ncrf.data import Record, SynthConfig, synth_generate, split_by_subject
@@ -9,7 +11,7 @@ from ncrf.errors import (
     NumericError,
     ParameterError,
 )
-from ncrf.model import evaluate, record_loss
+from ncrf.model import desk_config, evaluate, init_params, record_loss
 from ncrf.training import (
     Adam,
     Checkpoint,
@@ -211,3 +213,52 @@ def test_trailing_garbage_rejected(corpus, tmp_path):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(CheckpointFormatError, match="trailing"):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    config = desk_config("crf", hidden_dim=4, channels=4)
+    path = tmp_path_factory.mktemp("tiny") / "tiny.ncrf"
+    save_checkpoint(path, Checkpoint(config, init_params(config, 0), seed=0, epoch=0,
+                                     val_kappa=0.5))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_whole_or_raises_format_error(tiny_checkpoint, data):
+    # random truncations, single bit flips and extensions
+    blob = bytearray(tiny_checkpoint.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
+    if kind == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "flip":
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    path = tiny_checkpoint.with_name("mutated.ncrf")
+    path.write_bytes(bytes(blob))
+    try:
+        checkpoint = load_checkpoint(path)
+    except CheckpointFormatError:
+        return
+    assert set(checkpoint.params) == set(init_params(checkpoint.model_config, 0))
+
+
+@pytest.mark.parametrize("old,new", [
+    (b"hidden_dim=4", b"hidden_dim=x"),
+    (b"hidden_dim=4", b"hidden_dim=0"),
+    (b"val_kappa=0.5", b"val_kappa=x.5"),
+    (b"cnn_layers=6:2:4:1:0.1", b"cnn_layers=6:2:4:1:1.1"),
+    (b"cnn_layers=6:2:4:1", b"cnn_layers=6:2:4;1"),
+    (b"model_kind=crf", b"model_kind=\xffrf"),
+    (b"crf.T1", b"crf.\xff1"),
+])
+def test_malformed_checkpoint_fields_raise_format_error(tiny_checkpoint, tmp_path, old, new):
+    # same-length edits, so every length prefix stays valid
+    blob = tiny_checkpoint.read_bytes()
+    assert blob.count(old) == 1 and len(new) == len(old)
+    bad = tmp_path / "bad.ncrf"
+    bad.write_bytes(blob.replace(old, new))
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(bad)
