@@ -83,6 +83,10 @@ class CnnConfig:
             ratio *= layer.downsample
         return ratio
 
+    def needs_projection(self, src: int, tgt: int) -> bool:
+        """Whether the shortcut from layer src to tgt has a learned projection."""
+        return self.channels_of(src) != self.channels_of(tgt) or self.time_ratio(src, tgt) != 1
+
     def validate_rate(self, samples_per_epoch: int) -> None:
         if self.downsample_factor != samples_per_epoch:
             raise ConfigurationError(
@@ -105,9 +109,9 @@ def cnn_init(config: CnnConfig, rng: np.random.Generator) -> ModelParams:
         params[f"cnn.layer{i}.bias"] = Tensor(np.zeros(layer.out_channels))
         c_in = layer.out_channels
     for j, (src, tgt) in enumerate(config.residual_pairs):
-        c_src, c_tgt = config.channels_of(src), config.channels_of(tgt)
-        if c_src != c_tgt or config.time_ratio(src, tgt) != 1:
-            params[f"cnn.res{j}.proj"] = Tensor(np.eye(c_src, c_tgt))
+        if config.needs_projection(src, tgt):
+            eye = np.eye(config.channels_of(src), config.channels_of(tgt))
+            params[f"cnn.res{j}.proj"] = Tensor(eye)
     return params
 
 

@@ -95,6 +95,14 @@ def parse_labels(lines, origin: str = "<labels>") -> np.ndarray:
     return np.asarray(out, dtype=np.intp)
 
 
+def _read_lines(path: Path) -> list[str]:
+    """A UTF-8 text file's lines, or DataParseError naming the file."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
+        raise DataParseError(f"{path}: {e}") from e
+
+
 def _require_finite(signal: np.ndarray, path: Path, sid: str) -> None:
     """Reject NaN and infinite samples, naming the first such line of a
     signal file that np.loadtxt has already parsed."""
@@ -120,7 +128,7 @@ def load_records(
         raise DataParseError(f"manifest not found: {manifest}")
     base = manifest.parent
     records = []
-    for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(manifest), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -137,10 +145,7 @@ def load_records(
         except (OSError, ValueError) as e:
             raise DataParseError(f"{sig_file}: {e}") from e
         _require_finite(signal, sig_file, sid)
-        try:
-            labels = parse_labels(lab_file.read_text().splitlines(), origin=str(lab_file))
-        except OSError as e:
-            raise DataParseError(f"{lab_file}: {e}") from e
+        labels = parse_labels(_read_lines(lab_file), origin=str(lab_file))
         records.append(
             Record(sid, signal, labels, sample_rate_hz=sample_rate_hz, epoch_seconds=epoch_seconds)
         )
@@ -362,7 +367,7 @@ def save_synth_config(config: SynthConfig, path: str | Path) -> None:
 
 def load_synth_config(path: str | Path) -> SynthConfig:
     kwargs = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(Path(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -98,6 +98,28 @@ def init_params(config: ModelConfig, seed_or_rng) -> ModelParams:
     return params
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every array ``init_params`` makes, in its order, without allocating."""
+    cnn, h, k = config.cnn, config.hidden_dim, config.num_labels
+    shapes: dict[str, tuple[int, ...]] = {}
+    c_in = cnn.input_channels
+    for i, layer in enumerate(cnn.layers):
+        shapes[f"cnn.layer{i}.kernels"] = (layer.out_channels, c_in, layer.kernel_width)
+        shapes[f"cnn.layer{i}.bias"] = (layer.out_channels,)
+        c_in = layer.out_channels
+    for j, (src, tgt) in enumerate(cnn.residual_pairs):
+        if cnn.needs_projection(src, tgt):
+            shapes[f"cnn.res{j}.proj"] = (cnn.channels_of(src), cnn.channels_of(tgt))
+    for gate in ("z", "r", "h"):
+        shapes |= {f"gru.W_{gate}": (h, c_in), f"gru.U_{gate}": (h, h), f"gru.b_{gate}": (h,)}
+    if config.crf_order == 0:
+        return shapes | {"head.W_o": (k, h), "head.b": (k,)}
+    shapes |= {"crf.w_n": (k, h), "crf.b_n": (k,), "crf.T1": (k, k), "crf.b_e": ()}
+    if config.crf_order == 2:
+        shapes["crf.T2"] = (k, k)
+    return shapes
+
+
 def check_record(config: ModelConfig, record: Record) -> None:
     if (record.sample_rate_hz, record.epoch_seconds) != (
         config.sample_rate_hz,

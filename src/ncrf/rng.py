@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 def _tag_to_words(tag: object) -> tuple[int, ...]:
     if isinstance(tag, (int, np.integer)):
@@ -26,6 +28,8 @@ class SplitRng:
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         self._spawn_key = _spawn_key
 
     def child(self, *tags: object) -> "SplitRng":

@@ -3,8 +3,8 @@ an L1 proximal step on the CRF block, and checkpoint persistence.
 
 Runs are bitwise deterministic for a fixed (data, config, seed): record
 order, dropout masks, and initialization all derive from one splittable
-seed, and gradient accumulation follows a fixed order regardless of the
-worker-thread count (capped by the NCRF_THREADS environment variable).
+seed. Training is single-threaded: each optimizer step sums its records'
+gradients into zeros in batch order, then scales by 1/batch size.
 
 Checkpoint container: magic ``NCRF``, little-endian u32 version, u32
 array count, then per array (u32 name length, utf-8 name, u32 rank,
@@ -14,9 +14,7 @@ u64 dims, float64 payload), then a u32-length key=value metadata block.
 from __future__ import annotations
 
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +31,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .model import ModelConfig, evaluate, init_params, record_loss
+from .model import ModelConfig, evaluate, init_params, param_shapes, record_loss
 from .rng import SplitRng
 
 CHECKPOINT_MAGIC = b"NCRF"
@@ -124,14 +122,6 @@ def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= factor
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("NCRF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _record_gradients(
     model_config: ModelConfig,
     params: ModelParams,
@@ -183,68 +173,50 @@ def train(
 
     adam = Adam(config.learning_rate)
     prox_threshold = config.l1_lambda * config.learning_rate
-    workers = _worker_count()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     history: list[EpochStats] = []
     best_params = params.clone()
     best_kappa = float("-inf")
     best_epoch = 0
     stall = 0
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            order = root.child("shuffle", epoch).generator().permutation(len(train_records))
-            losses = []
-            for start in range(0, len(order), config.batch_size):
-                batch = [int(i) for i in order[start : start + config.batch_size]]
-                jobs = [
-                    (model_config, params, train_records[i], weights, root, epoch, i)
-                    for i in batch
-                ]
-                if pool is not None and len(jobs) > 1:
-                    results = list(pool.map(lambda a: _record_gradients(*a), jobs))
-                else:
-                    results = [_record_gradients(*a) for a in jobs]
-                grads = {name: np.zeros(t.shape) for name, t in params.items()}
-                for value, g in results:  # fixed accumulation order: batch order
-                    losses.append(value)
-                    for name in grads:
-                        grads[name] += g[name]
-                inv = 1.0 / len(batch)
+    for epoch in range(1, config.max_epochs + 1):
+        order = root.child("shuffle", epoch).generator().permutation(len(train_records))
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = [int(i) for i in order[start : start + config.batch_size]]
+            grads = {name: np.zeros(t.shape) for name, t in params.items()}
+            for i in batch:
+                value, g = _record_gradients(
+                    model_config, params, train_records[i], weights, root, epoch, i
+                )
+                losses.append(value)
                 for name in grads:
-                    grads[name] *= inv
-                _clip_global_norm(grads, CLIP_NORM)
-                adam.step(params, grads)
-                if prox_threshold > 0:
-                    l1_prox(params, prox_threshold)
-            val_kappa = evaluate(model_config, params, validation_records).kappa
-            history.append(EpochStats(epoch, float(np.mean(losses)), val_kappa))
-            if val_kappa > best_kappa:
-                best_kappa = val_kappa
-                best_params = params.clone()
-                best_epoch = epoch
-                stall = 0
-            else:
-                stall += 1
-                if stall >= config.patience:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    grads[name] += g[name]
+            inv = 1.0 / len(batch)
+            for name in grads:
+                grads[name] *= inv
+            _clip_global_norm(grads, CLIP_NORM)
+            adam.step(params, grads)
+            if prox_threshold > 0:
+                l1_prox(params, prox_threshold)
+        val_kappa = evaluate(model_config, params, validation_records).kappa
+        history.append(EpochStats(epoch, float(np.mean(losses)), val_kappa))
+        if val_kappa > best_kappa:
+            best_kappa = val_kappa
+            best_params = params.clone()
+            best_epoch = epoch
+            stall = 0
+        else:
+            stall += 1
+            if stall >= config.patience:
+                break
 
     extras = {
         "cost_sensitive": "1" if config.cost_sensitive else "0",
         "l1_lambda": repr(config.l1_lambda),
         "learning_rate": repr(config.learning_rate),
     }
-    checkpoint = Checkpoint(
-        model_config=model_config,
-        params=best_params,
-        seed=config.seed,
-        epoch=best_epoch,
-        val_kappa=best_kappa,
-        extras=extras,
-    )
+    checkpoint = Checkpoint(model_config, best_params, config.seed, best_epoch, best_kappa, extras)
     return checkpoint, history
 
 
@@ -387,11 +359,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if r.pos != len(r.data):
         raise CheckpointFormatError("trailing bytes after metadata")
 
-    meta: dict[str, str] = {}
-    for line in meta_text.splitlines():
-        if line and "=" in line:
-            k, v = line.split("=", 1)
-            meta[k] = v
+    meta = dict(line.split("=", 1) for line in meta_text.splitlines() if "=" in line)
     for key in _META_ORDER:
         if key not in meta:
             raise CheckpointFormatError(f"metadata missing {key!r}")
@@ -409,7 +377,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         seed, epoch, val_kappa = int(meta["seed"]), int(meta["epoch"]), float(meta["val_kappa"])
     except (ValueError, NcrfError) as e:
         raise CheckpointFormatError(f"bad metadata: {e}") from e
-    _validate_shapes(model_config, params)
+    # shapes come from the config alone: crafted metadata cannot make this allocate
+    expected = param_shapes(model_config)
+    missing = sorted(expected.keys() - params.keys())
+    surplus = sorted(params.keys() - expected.keys())
+    if missing or surplus:
+        detail = (f"missing {missing}" if missing else "") + (
+            f" unexpected {surplus}" if surplus else ""
+        )
+        raise CheckpointFormatError(f"array table does not match model kind: {detail.strip()}")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise CheckpointFormatError(
+                f"{name}: stored shape {params[name].shape}, expected {shape}"
+            )
     extras = {k[2:]: v for k, v in meta.items() if k.startswith("x.")}
     return Checkpoint(
         model_config=model_config,
@@ -419,21 +400,3 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         val_kappa=val_kappa,
         extras=extras,
     )
-
-
-def _validate_shapes(config: ModelConfig, params: ModelParams) -> None:
-    reference = init_params(config, 0)
-    stored = set(params)
-    expected = set(reference)
-    if stored != expected:
-        missing = sorted(expected - stored)
-        surplus = sorted(stored - expected)
-        detail = (f"missing {missing}" if missing else "") + (
-            f" unexpected {surplus}" if surplus else ""
-        )
-        raise CheckpointFormatError(f"array table does not match model kind: {detail.strip()}")
-    for name, ref in reference.items():
-        if params[name].shape != ref.shape:
-            raise CheckpointFormatError(
-                f"{name}: stored shape {params[name].shape}, expected {ref.shape}"
-            )

@@ -72,6 +72,19 @@ def test_synth_missing_out_is_usage_error(small_cfg):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_fails_with_one_line(tmp_path, corpus_dir, capsys, command):
+    out = tmp_path / "out"
+    args = ["--data", str(corpus_dir / "manifest.txt")] if command == "train" else []
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "seed" in captured.err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncrf.data import (
     DEFAULT_TRANSITIONS,
@@ -20,6 +22,7 @@ from ncrf.errors import (
     AlignmentError,
     DataParseError,
     DegenerateDistributionError,
+    NcrfError,
     ParameterError,
 )
 
@@ -92,6 +95,76 @@ def test_load_records_rejects_nonfinite_samples(tmp_path, token):
     signal.write_text("\n".join(["# airflow", ""] + lines) + "\n")
     with pytest.raises(DataParseError, match=r"synth0001\.signal\.txt:8: .*'synth0001'"):
         load_records(manifest, sample_rate_hz=4, epoch_seconds=4)
+
+
+@pytest.mark.parametrize("target", ["manifest.txt", "synth0001.labels.txt", "synth_config.txt"])
+def test_non_utf8_input_files_raise_data_parse_error(tmp_path, target):
+    records = synth_generate(SynthConfig(num_subjects=3, epochs_per_subject=4, seed=1))
+    manifest = write_corpus(records, tmp_path)
+    save_synth_config(SynthConfig(), tmp_path / "synth_config.txt")
+    path = tmp_path / target
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    with pytest.raises(DataParseError, match=target.replace(".", r"\.")):
+        if target == "synth_config.txt":
+            load_synth_config(path)
+        else:
+            load_records(manifest, sample_rate_hz=4, epoch_seconds=4)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    manifest = write_corpus(synth_generate(SynthConfig(num_subjects=3, epochs_per_subject=4,
+                                                       seed=1)), out)
+    save_synth_config(SynthConfig(), out / "synth_config.txt")
+    return manifest
+
+
+def mutate(data, blob: bytes) -> bytes:
+    """Random bytes, a truncation or a single bit flip of a valid file."""
+    kind = data.draw(st.sampled_from(["random", "truncate", "flip"]))
+    if kind == "random":
+        return data.draw(st.binary(max_size=200))
+    if kind == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    out[data.draw(st.integers(0, len(out) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    return bytes(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_raises_only_package_errors(small_corpus, data):
+    path = small_corpus.with_name("mutated_manifest.txt")
+    path.write_bytes(mutate(data, small_corpus.read_bytes()))
+    try:
+        load_records(path, sample_rate_hz=4, epoch_seconds=4)
+    except NcrfError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_labels_raise_only_package_errors(small_corpus, data):
+    labels = small_corpus.with_name("mutated.labels.txt")
+    labels.write_bytes(mutate(data, small_corpus.with_name("synth0001.labels.txt").read_bytes()))
+    manifest = small_corpus.with_name("labels_manifest.txt")
+    manifest.write_text("synth0001,synth0001.signal.txt,mutated.labels.txt\n")
+    try:
+        load_records(manifest, sample_rate_hz=4, epoch_seconds=4)
+    except NcrfError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_synth_config_raises_only_package_errors(small_corpus, data):
+    path = small_corpus.with_name("mutated_config.txt")
+    path.write_bytes(mutate(data, small_corpus.with_name("synth_config.txt").read_bytes()))
+    try:
+        load_synth_config(path)
+    except NcrfError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncrf import training
 from ncrf.autodiff import Tape
+from ncrf.cnn import CnnConfig, ConvLayerSpec
 from ncrf.data import Record, SynthConfig, synth_generate, split_by_subject
 from ncrf.errors import (
     CheckpointFormatError,
@@ -11,7 +16,17 @@ from ncrf.errors import (
     NumericError,
     ParameterError,
 )
-from ncrf.model import desk_config, evaluate, init_params, record_loss
+from ncrf.model import (
+    MODEL_KINDS,
+    ModelConfig,
+    desk_config,
+    evaluate,
+    init_params,
+    paper_config,
+    param_shapes,
+    record_loss,
+)
+from ncrf.rng import SplitRng
 from ncrf.training import (
     Adam,
     Checkpoint,
@@ -120,21 +135,45 @@ def test_empty_split_rejected(corpus):
         train(tr, [], quick_config())
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+def test_batch_steps_average_gradients_in_batch_order(monkeypatch):
     # 24 training records: batch sizes 5 and 7 leave a short final batch
     recs = synth_generate(SynthConfig(num_subjects=28, epochs_per_subject=24, seed=37))
     tr, va = recs[:24], recs[24:]
-    for workers, batch_size in ((2, 3), (3, 5), (2, 4), (2, 7)):
-        results = []
-        for count in (1, workers):
-            monkeypatch.setenv("NCRF_THREADS", str(count))
-            results.append(train(tr, va, quick_config(batch_size=batch_size, max_epochs=2,
-                                                      patience=2)))
-        (one, one_hist), (many, many_hist) = results
-        assert one_hist == many_hist, (workers, batch_size)
-        for name in one.params:
-            assert one.params[name].data.tobytes() == many.params[name].data.tobytes(), \
-                (workers, batch_size, name)
+    step = training.Adam.step
+    for batch_size in (3, 4, 5, 7):
+        config = quick_config(batch_size=batch_size, max_epochs=1, patience=1)
+        runs = []
+        for _ in range(2):
+            calls = []
+
+            def capture(self, params, grads, _calls=calls):
+                _calls.append((params.clone(), {n: g.copy() for n, g in grads.items()}))
+                return step(self, params, grads)
+
+            monkeypatch.setattr(training.Adam, "step", capture)
+            checkpoint, _ = train(tr, va, config)
+            runs.append(calls)
+        calls = runs[0]
+        assert len(calls) == -(-len(tr) // batch_size), batch_size
+        order = SplitRng(config.seed).child("shuffle", 1).generator().permutation(len(tr))
+        for k in (0, len(calls) - 1):
+            params, grads = calls[k]
+            batch = [int(i) for i in order[k * batch_size : (k + 1) * batch_size]]
+            expected = {n: np.zeros(t.shape) for n, t in params.items()}
+            for i in batch:
+                _, g = training._record_gradients(checkpoint.model_config, params, tr[i], None,
+                                                  SplitRng(config.seed), 1, i)
+                for n in expected:
+                    expected[n] += g[n]
+            for n in expected:
+                expected[n] *= 1.0 / len(batch)
+            training._clip_global_norm(expected, training.CLIP_NORM)
+            for n in expected:
+                assert grads[n].tobytes() == expected[n].tobytes(), (batch_size, k, n)
+        for (p1, g1), (p2, g2) in zip(*runs, strict=True):
+            for n in g1:
+                assert g1[n].tobytes() == g2[n].tobytes(), (batch_size, n)
+                assert p1[n].data.tobytes() == p2[n].data.tobytes(), (batch_size, n)
 
 
 def test_cost_sensitive_requires_all_classes(corpus):
@@ -262,3 +301,40 @@ def test_malformed_checkpoint_fields_raise_format_error(tiny_checkpoint, tmp_pat
     bad.write_bytes(blob.replace(old, new))
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_param_shapes_match_init_params(kind):
+    with_projection = CnnConfig((ConvLayerSpec(3, 2, 4), ConvLayerSpec(3, 2, 5)), ((0, 1),))
+    without = CnnConfig((ConvLayerSpec(3, 1, 4), ConvLayerSpec(3, 1, 4), ConvLayerSpec(3, 4, 4)),
+                        ((0, 1),))
+    configs = [
+        desk_config(kind),
+        paper_config(kind),
+        ModelConfig(kind, with_projection, hidden_dim=6, sample_rate_hz=2, epoch_seconds=2),
+        ModelConfig(kind, without, hidden_dim=6, sample_rate_hz=2, epoch_seconds=2),
+    ]
+    for config in configs:
+        drawn = {name: t.shape for name, t in init_params(config, 0).items()}
+        assert param_shapes(config) == drawn
+        assert list(param_shapes(config)) == list(drawn)  # same order, so the same first error
+    assert "cnn.res0.proj" in param_shapes(configs[2])
+    assert "cnn.res0.proj" not in param_shapes(configs[3])
+
+
+def test_oversized_metadata_is_rejected_without_allocating(tiny_checkpoint, tmp_path):
+    # the metadata block is last: swap it for one that claims a 2000-wide GRU
+    blob = tiny_checkpoint.read_bytes()
+    start = blob.index(b"format_version=")
+    meta = blob[start:].replace(b"hidden_dim=4\n", b"hidden_dim=2000\n")
+    bad = tmp_path / "wide.ncrf"
+    bad.write_bytes(blob[: start - 4] + struct.pack("<I", len(meta)) + meta)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError,
+                           match=r"gru.W_z: stored shape \(4, 4\), expected \(2000, 4\)"):
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
