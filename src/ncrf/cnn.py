@@ -8,6 +8,12 @@ selection and in channels by a learned projection applied as U^T X
 pool windows must equal the samples-per-epoch, so a record of n samples
 always comes out as exactly m = n / (rate * epoch_seconds) feature
 vectors.
+
+Untaped inference on a long record runs the stack on whole-epoch chunks,
+each widened by a halo of whole epochs that covers the receptive field
+of its own features, so memory stays bounded by _CHUNK_BYTES rather than
+growing with the night. Chunked features equal the whole-record pass up
+to the round-off of the matrix product's column tiling.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ from .autodiff import (
     transpose,
 )
 from .errors import ConfigurationError, DimensionError, ParameterError
+
+# Widest float64 activation one untaped inference pass may hold before the
+# record is split into whole-epoch chunks (about 68 epochs of the paper
+# profile; a desk night never reaches it).
+_CHUNK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -123,16 +134,62 @@ def cnn_forward(
     rng: np.random.Generator | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Map a [C_in, n] signal to [C_last, m] features."""
+    """Map a [C_in, n] signal to [C_last, m] features.
+
+    Taped and training-mode calls run the whole record at once; untaped
+    inference splits it into chunks when its widest activation would
+    exceed _CHUNK_BYTES.
+    """
     if signal.ndim != 2 or signal.shape[0] != config.input_channels:
         raise DimensionError(
             f"signal shape {signal.shape} does not match {config.input_channels} input channels"
         )
-    if signal.shape[1] % config.downsample_factor != 0:
+    d = config.downsample_factor
+    if signal.shape[1] % d != 0:
         raise ConfigurationError(
             f"signal length {signal.shape[1]} is not a multiple of the "
-            f"downsampling factor {config.downsample_factor}"
+            f"downsampling factor {d}"
         )
+    m = signal.shape[1] // d
+    size = max(1, _CHUNK_BYTES // _epoch_bytes(config))
+    if tape is not None or training or m <= size:
+        return _layers(signal, config, params, training, rng, tape)
+    left, right = _halo(config)
+    out = np.empty((config.layers[-1].out_channels, m))
+    for a in range(0, m, size):
+        b = min(m, a + size)
+        lo, hi = max(0, a - left), min(m, b + right)
+        chunk = _layers(Tensor(signal.data[:, lo * d : hi * d]), config, params)
+        out[:, a:b] = chunk.data[:, a - lo : b - lo]
+    return Tensor(out)
+
+
+def _epoch_bytes(config: CnnConfig) -> int:
+    """Bytes per epoch of the widest activation: the input or a conv output."""
+    samples = config.downsample_factor
+    widest = config.input_channels * samples
+    for layer in config.layers:
+        samples //= layer.stride
+        widest = max(widest, layer.out_channels * samples)
+        samples //= layer.pool_window
+    return 8 * widest
+
+
+def _halo(config: CnnConfig) -> tuple[int, int]:
+    """Whole epochs before and after an epoch that its feature can depend on.
+
+    Every layer length is a multiple of its stride and pool window, so the
+    padding is the same for any record and an epoch's span is the first
+    epoch's, shifted; the span must not be clamped at the record edge.
+    """
+    d = config.downsample_factor
+    lo, hi = _span(config, d, 0)
+    return -(lo // d), hi // d
+
+
+def _layers(signal: Tensor, config: CnnConfig, params: ModelParams, training: bool = False,
+            rng: np.random.Generator | None = None, tape: Tape | None = None) -> Tensor:
+    """The layer stack over a whole, already validated signal."""
     sources = {src for src, _ in config.residual_pairs}
     targets = {tgt: (src, j) for j, (src, tgt) in enumerate(config.residual_pairs)}
     saved: dict[int, Tensor] = {}
@@ -172,6 +229,12 @@ def input_span(config: CnnConfig, n: int, feature_index: int) -> tuple[int, int]
     Accounts for padding, pooling, and residual shortcuts; bounds are
     clamped to [0, n-1].
     """
+    lo, hi = _span(config, n, feature_index)
+    return max(0, lo), min(n - 1, hi)
+
+
+def _span(config: CnnConfig, n: int, feature_index: int) -> tuple[int, int]:
+    """input_span before clamping: padded positions count as samples."""
     lengths = [n]
     pads = []
     for layer in config.layers:
@@ -205,7 +268,7 @@ def input_span(config: CnnConfig, n: int, feature_index: int) -> tuple[int, int]
         else:
             j = pending.get(i - 1)
             pending[i - 1] = (min(a, j[0]), max(b, j[1])) if j else (a, b)
-    return max(0, lo_in), min(n - 1, hi_in)
+    return lo_in, hi_in
 
 
 def desk_cnn_config(channels: int = 32, dropout_rate: float = 0.1) -> CnnConfig:

@@ -7,6 +7,7 @@ slow"`` skips them. Everything else is fast.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,10 +392,16 @@ def test_criterion_9_paper_shape_contract():
     params = cnn_init(config, np.random.default_rng(9))
     n = 864_000
     signal = Tensor(np.random.default_rng(10).normal(size=(1, n)).astype(np.float64))
-    started = time.time()
-    out = cnn_forward(signal, config, params)
-    elapsed = time.time() - started
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        started = time.time()
+        out = cnn_forward(signal, config, params)
+        elapsed = time.time() - started
+        peak_mib = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
     assert out.shape == (256, 900)
     assert np.isfinite(out.data).all()
     announce(9, f"paper profile maps n=864,000 samples to 256x900 features "
-                f"(forward pass {elapsed:.1f}s)")
+                f"(forward pass {elapsed:.1f}s, tracemalloc peak {peak_mib:,.0f} MiB)")

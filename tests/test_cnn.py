@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncrf import cnn
 from ncrf.autodiff import Tape, Tensor, grad_check, reduce_sum, take_cols
 from ncrf.cnn import (
     CnnConfig,
@@ -11,7 +16,9 @@ from ncrf.cnn import (
     input_span,
     paper_cnn_config,
 )
+from ncrf.data import Record
 from ncrf.errors import ConfigurationError, ParameterError
+from ncrf.model import ModelConfig, decode_record, desk_config, init_params, paper_config, record_loss
 from ncrf.rng import SplitRng
 
 
@@ -206,3 +213,155 @@ def test_input_span_accounts_for_residual_paths():
     lo_r, hi_r = input_span(config, n, 5)
     lo_p, hi_p = input_span(no_res, n, 5)
     assert lo_r <= lo_p and hi_r >= hi_p
+
+
+# ---------------------------------------------------------------------------
+# chunked inference
+# ---------------------------------------------------------------------------
+
+# A stack whose receptive field reaches three epochs either side.
+WIDE_CNN = CnnConfig(
+    layers=(ConvLayerSpec(15, 1, 4), ConvLayerSpec(9, 2, 4, 2)),
+    residual_pairs=((0, 1),),
+)
+CHUNK_MODELS = {
+    "desk": desk_config("crf", hidden_dim=8, channels=8),
+    "paper": paper_config("crf", hidden_dim=8, channels=16),
+    "wide": ModelConfig("crf", WIDE_CNN, hidden_dim=8, sample_rate_hz=4, epoch_seconds=1),
+}
+
+
+def _chunk_epochs(monkeypatch, config: CnnConfig, epochs: int) -> None:
+    """Patch the byte budget so untaped inference runs chunks of `epochs` epochs."""
+    monkeypatch.setattr(cnn, "_CHUNK_BYTES", epochs * cnn._epoch_bytes(config))
+
+
+def _count_layer_passes(monkeypatch) -> list:
+    calls = []
+    layers = cnn._layers
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return layers(*args, **kwargs)
+
+    monkeypatch.setattr(cnn, "_layers", counted)
+    return calls
+
+
+def _random_record(config: ModelConfig, m: int, seed: int) -> Record:
+    rng = np.random.default_rng(seed)
+    d = config.cnn.downsample_factor
+    return Record("s", rng.normal(size=m * d), rng.integers(0, 4, size=m),
+                  config.sample_rate_hz, config.epoch_seconds)
+
+
+@pytest.mark.parametrize(
+    "name, chunk, m",
+    [(name, 3, m) for name in CHUNK_MODELS for m in (2, 3, 4, 7)] + [("wide", 1, 2)],
+)
+def test_chunked_inference_equals_the_whole_record(monkeypatch, name, chunk, m):
+    config = CHUNK_MODELS[name]
+    params = init_params(config, 3)
+    record = _random_record(config, m, seed=m)
+    signal = Tensor(record.signal.reshape(1, -1))
+    whole = cnn_forward(signal, config.cnn, params).data
+    labels = decode_record(config, params, record)
+    if (name, chunk, m) == ("wide", 1, 2):
+        assert m < min(cnn._halo(config.cnn))  # every chunk's halo is cut by the record
+    _chunk_epochs(monkeypatch, config.cnn, chunk)
+    calls = _count_layer_passes(monkeypatch)
+    chunked = cnn_forward(signal, config.cnn, params).data
+    assert len(calls) == -(-m // chunk)
+    if m <= chunk:
+        assert chunked.tobytes() == whole.tobytes()
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(decode_record(config, params, record), labels)
+
+
+def test_budget_chunks_paper_nights_but_not_desk_nights(monkeypatch):
+    assert cnn._CHUNK_BYTES // cnn._epoch_bytes(paper_cnn_config()) == 68
+    config = desk_cnn_config()
+    params = cnn_init(config, np.random.default_rng(4))
+    night = Tensor(np.random.default_rng(5).normal(size=(1, 240 * 16)))
+    calls = _count_layer_passes(monkeypatch)
+    out = cnn_forward(night, config, params).data
+    assert calls == [night.shape]
+    assert out.tobytes() == cnn._layers(night, config, params).data.tobytes()
+
+
+@st.composite
+def cnn_configs(draw):
+    n_layers = draw(st.integers(1, 3))
+    layers = tuple(
+        ConvLayerSpec(
+            kernel_width=draw(st.integers(1, 9)),
+            stride=draw(st.integers(1, 3)),
+            out_channels=draw(st.integers(1, 3)),
+            pool_window=draw(st.integers(1, 3)),
+        )
+        for _ in range(n_layers)
+    )
+    targets = draw(st.sets(st.integers(1, n_layers - 1), max_size=2)) if n_layers > 1 else set()
+    pairs = tuple((draw(st.integers(0, tgt - 1)), tgt) for tgt in sorted(targets))
+    return CnnConfig(layers, pairs, input_channels=draw(st.integers(1, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=cnn_configs(), m=st.integers(1, 12), budget=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_halo_covers_the_receptive_field(config, m, budget, seed):
+    rng = np.random.default_rng(seed)
+    params = cnn_init(config, rng)
+    signal = Tensor(rng.normal(size=(config.input_channels, m * config.downsample_factor)))
+    whole = cnn._layers(signal, config, params).data
+    saved = cnn._CHUNK_BYTES  # hypothesis examples cannot share pytest's monkeypatch
+    cnn._CHUNK_BYTES = int(budget * m * cnn._epoch_bytes(config))
+    try:
+        chunked = cnn_forward(signal, config, params).data
+    finally:
+        cnn._CHUNK_BYTES = saved
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("training, taped", [(True, True), (False, True), (True, False)])
+def test_taped_and_training_calls_never_chunk(monkeypatch, training, taped):
+    config = desk_config("crf", hidden_dim=8, channels=4)
+    params = init_params(config, 6)
+    record = _random_record(config, 30, seed=7)
+
+    def run():
+        tape = Tape() if taped else None
+        rng = SplitRng(8).child("dropout").generator()
+        loss = record_loss(config, params, record, training=training, rng=rng, tape=tape)
+        grads = []
+        if taped:
+            tape.backward(loss)
+            grads = [tape.grad(params[k]).tobytes() for k in params]
+        return loss.data.tobytes(), grads
+
+    expected = run()
+    monkeypatch.setattr(cnn, "_CHUNK_BYTES", 1)
+    calls = _count_layer_passes(monkeypatch)
+    assert run() == expected
+    assert len(calls) == 1
+
+
+def _forward_peak(config: CnnConfig, params, m: int) -> int:
+    signal = Tensor(np.random.default_rng(m).normal(size=(1, m * config.downsample_factor)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cnn_forward(signal, config, params)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_untaped_peak_memory_is_flat_in_record_length(monkeypatch):
+    config = paper_cnn_config(channels=8)
+    params = cnn_init(config, np.random.default_rng(9))
+    whole = _forward_peak(config, params, 512)
+    _chunk_epochs(monkeypatch, config, 8)
+    short, long = _forward_peak(config, params, 64), _forward_peak(config, params, 512)
+    assert long <= 1.5 * short, (short, long)
+    assert 4 * long <= whole, (long, whole)
