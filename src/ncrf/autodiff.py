@@ -1,7 +1,8 @@
 """Dense float64 tensors and a reverse-mode differentiation tape.
 
 Every differentiable primitive the model runs lives here, except the
-fused layers that record themselves as one node each: the GRU
+fused layers that record themselves as one node each: the CNN's
+conv -> ReLU -> dropout -> max-pool layer (``cnn._conv_layer``), the GRU
 recurrence (``gru.gru_forward``) and the CRF's log Z, NLL and
 cost-sensitive loss (``crf.log_partition``, ``crf.crf_nll``,
 ``crf.cost_sensitive_loss``). An operation computes its value with
@@ -187,14 +188,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     raise DimensionError(f"affine input must be 1-D or 2-D, got {dx.shape}")
 
 
-def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    if tape is not None:
-        mask = x.data > 0.0
-        tape.record(out, (x,), lambda g: (g * mask,))
-    return out
-
-
 def _sigmoid(v: Array) -> Array:
     """``1/(1+exp(-v))`` for v >= 0 and ``exp(v)/(1+exp(v))`` below, so
     exp never overflows; ``min(v, -v)`` keeps a NaN's sign."""
@@ -267,145 +260,6 @@ def gather_pairs(x: Tensor, rows, cols, tape: Tape | None = None) -> Tensor:
             return (z,)
 
         tape.record(out, (x,), bw)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# signal-processing primitives
-# ---------------------------------------------------------------------------
-
-_CONV_CHUNK = 1 << 22  # max scratch elements per im2col block
-
-
-def _conv_geometry(t_in: int, width: int, stride: int, padding: str) -> tuple[int, int, int]:
-    """Return (t_out, pad_left, pad_right) for one conv layer."""
-    if padding == "same":
-        t_out = -(-t_in // stride)
-        total = max(0, (t_out - 1) * stride + width - t_in)
-        left = total // 2
-        return t_out, left, total - left
-    if padding == "valid":
-        if width > t_in:
-            raise DimensionError(f"kernel width {width} exceeds input length {t_in}")
-        return (t_in - width) // stride + 1, 0, 0
-    raise ParameterError(f"padding must be 'same' or 'valid', got {padding!r}")
-
-
-def conv1d(
-    x: Tensor,
-    kernels: Tensor,
-    bias: Tensor,
-    stride: int = 1,
-    padding: str = "same",
-    tape: Tape | None = None,
-) -> Tensor:
-    """Strided cross-correlation of a [C_in, T] signal with [C_out, C_in, W] kernels.
-
-    ``same`` padding pads with zeros so the output length is ceil(T/stride);
-    ``valid`` uses no padding. The activation is a separate op.
-    """
-    dx, dk, db = x.data, kernels.data, bias.data
-    if dx.ndim != 2 or dk.ndim != 3:
-        raise DimensionError(f"conv1d expects [C,T] input and [O,C,W] kernels, got {dx.shape}, {dk.shape}")
-    c_in, t_in = dx.shape
-    c_out, kc, width = dk.shape
-    if kc != c_in:
-        raise DimensionError(f"kernel channels {kc} do not match input channels {c_in}")
-    if db.shape != (c_out,):
-        raise DimensionError(f"bias shape {db.shape} does not match {c_out} output channels")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
-    t_out, pad_l, pad_r = _conv_geometry(t_in, width, stride, padding)
-    if t_out < 1:
-        raise DimensionError("convolution produces an empty output")
-
-    xp = np.pad(dx, ((0, 0), (pad_l, pad_r))) if (pad_l or pad_r) else dx
-    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=1)[:, ::stride, :]
-    # windows: [C_in, T_out, W] view; chunk the contiguous copy tensordot makes
-    chunk = max(1, _CONV_CHUNK // max(1, c_in * width))
-    y = np.empty((c_out, t_out))
-    kmat = dk.reshape(c_out, c_in * width)
-    for t0 in range(0, t_out, chunk):
-        blk = windows[:, t0 : t0 + chunk, :]  # [C_in, b, W]
-        b = blk.shape[1]
-        cols = blk.transpose(1, 0, 2).reshape(b, c_in * width)
-        y[:, t0 : t0 + chunk] = kmat @ cols.T
-    y += db[:, None]
-    out = Tensor(y)
-
-    if tape is not None:
-
-        def bw(g):
-            gk = np.zeros((c_out, c_in * width))
-            for t0 in range(0, t_out, chunk):
-                blk = windows[:, t0 : t0 + chunk, :]
-                b = blk.shape[1]
-                cols = blk.transpose(1, 0, 2).reshape(b, c_in * width)
-                gk += g[:, t0 : t0 + chunk] @ cols
-            gxp = np.zeros_like(xp)
-            gcols = kmat.T @ g  # [C_in*W, T_out]
-            gcols = gcols.reshape(c_in, width, t_out)
-            last = (t_out - 1) * stride
-            for w in range(width):
-                gxp[:, w : w + last + 1 : stride] += gcols[:, w, :]
-            gx = gxp[:, pad_l : pad_l + t_in] if (pad_l or pad_r) else gxp
-            return (gx, gk.reshape(c_out, c_in, width), g.sum(axis=1))
-
-        tape.record(out, (x, kernels, bias), bw)
-    return out
-
-
-def maxpool1d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
-    """Non-overlapping window maxima; ties route gradient to the first index."""
-    if window < 1:
-        raise ParameterError(f"pool window must be >= 1, got {window}")
-    dx = x.data
-    if dx.ndim != 2:
-        raise DimensionError(f"maxpool1d expects [C,T], got {dx.shape}")
-    c, t = dx.shape
-    t_out = t // window
-    if t_out < 1:
-        raise DimensionError(f"input length {t} shorter than pool window {window}")
-    if window == 1:
-        trimmed = Tensor(dx.copy())
-        if tape is not None:
-            tape.record(trimmed, (x,), lambda g: (g,))
-        return trimmed
-    blocks = dx[:, : t_out * window].reshape(c, t_out, window)
-    arg = blocks.argmax(axis=2)  # first maximal index on ties
-    out = Tensor(np.take_along_axis(blocks, arg[:, :, None], axis=2)[:, :, 0])
-    if tape is not None:
-
-        def bw(g):
-            gb = np.zeros((c, t_out, window))
-            np.put_along_axis(gb, arg[:, :, None], g[:, :, None], axis=2)
-            gx = np.zeros_like(dx)
-            gx[:, : t_out * window] = gb.reshape(c, t_out * window)
-            return (gx,)
-
-        tape.record(out, (x,), bw)
-    return out
-
-
-def dropout(
-    x: Tensor,
-    rate: float,
-    training: bool,
-    rng: np.random.Generator | None = None,
-    tape: Tape | None = None,
-) -> Tensor:
-    """Inverted dropout: train-time masking and rescaling, identity at inference."""
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ParameterError("training-mode dropout needs a seeded generator")
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) >= rate) / keep
-    out = Tensor(x.data * mask)
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g * mask,))
     return out
 
 

@@ -1,13 +1,15 @@
 """Residual 1-D convolutional feature extractor.
 
-Each layer is conv -> ReLU -> dropout -> optional max-pool. Residual
-connections add a saved earlier activation to a later layer's output;
-when shapes differ the source is aligned in time by strided column
-selection and in channels by a learned projection applied as U^T X
-(initialized to the truncated identity). The product of all strides and
-pool windows must equal the samples-per-epoch, so a record of n samples
-always comes out as exactly m = n / (rate * epoch_seconds) feature
-vectors.
+Each layer is conv -> ReLU -> dropout -> optional max-pool, recorded as
+one tape node with a hand-written backward: the node keeps its output,
+bool ReLU and dropout masks and the pool argmax, and re-pads its input
+only in the backward. Residual connections add a saved earlier
+activation to a later layer's output; when shapes differ the source is
+aligned in time by strided column selection and in channels by a
+learned projection applied as U^T X (initialized to the truncated
+identity). The product of all strides and pool windows must equal the
+samples-per-epoch, so a record of n samples always comes out as exactly
+m = n / (rate * epoch_seconds) feature vectors.
 
 Untaped inference on a long record runs the stack on whole-epoch chunks,
 each widened by a halo of whole epochs that covers the receptive field
@@ -22,25 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ModelParams,
-    Tape,
-    Tensor,
-    add,
-    conv1d,
-    dropout,
-    matmul,
-    maxpool1d,
-    relu,
-    take_cols,
-    transpose,
-)
+from .autodiff import ModelParams, Tape, Tensor, add, matmul, take_cols, transpose
 from .errors import ConfigurationError, DimensionError, ParameterError
 
 # Widest float64 activation one untaped inference pass may hold before the
 # record is split into whole-epoch chunks (about 68 epochs of the paper
 # profile; a desk night never reaches it).
 _CHUNK_BYTES = 64 << 20
+_CONV_CHUNK = 1 << 22  # max scratch elements per im2col block
 
 
 @dataclass(frozen=True)
@@ -76,6 +67,9 @@ class CnnConfig:
         for src, tgt in self.residual_pairs:
             if not (0 <= src < tgt < len(self.layers)):
                 raise ConfigurationError(f"residual pair ({src}, {tgt}) out of order or range")
+        targets = [tgt for _, tgt in self.residual_pairs]
+        if len(set(targets)) != len(targets):
+            raise ConfigurationError(f"residual pairs {self.residual_pairs} share a target layer")
 
     @property
     def downsample_factor(self) -> int:
@@ -195,19 +189,8 @@ def _layers(signal: Tensor, config: CnnConfig, params: ModelParams, training: bo
     saved: dict[int, Tensor] = {}
     x = signal
     for i, layer in enumerate(config.layers):
-        x = conv1d(
-            x,
-            params[f"cnn.layer{i}.kernels"],
-            params[f"cnn.layer{i}.bias"],
-            stride=layer.stride,
-            padding="same",
-            tape=tape,
-        )
-        x = relu(x, tape)
-        if layer.dropout_rate > 0.0:
-            x = dropout(x, layer.dropout_rate, training, rng, tape)
-        if layer.pool_window > 1:
-            x = maxpool1d(x, layer.pool_window, tape)
+        x = _conv_layer(x, params[f"cnn.layer{i}.kernels"], params[f"cnn.layer{i}.bias"],
+                        layer, training, rng, tape)
         if i in targets:
             src, j = targets[i]
             shortcut = saved[src]
@@ -223,6 +206,98 @@ def _layers(signal: Tensor, config: CnnConfig, params: ModelParams, training: bo
     return x
 
 
+def _same_geometry(t_in: int, width: int, stride: int) -> tuple[int, int, int]:
+    """(t_out, pad_left, pad_right) of a 'same' conv: t_out = ceil(t_in / stride)."""
+    t_out = -(-t_in // stride)
+    total = max(0, (t_out - 1) * stride + width - t_in)
+    return t_out, total // 2, total - total // 2
+
+
+def _im2col(x: np.ndarray, width: int, stride: int, pads: tuple[int, int], t_out: int):
+    """Yield (t0, cols): the [b, C_in*W] windows of the zero-padded input
+    starting at output column t0, in blocks of at most _CONV_CHUNK elements.
+    Callers delete each block before asking for the next, so one is alive."""
+    c_in = x.shape[0]
+    xp = np.pad(x, ((0, 0), pads)) if any(pads) else x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=1)[:, ::stride, :]
+    chunk = max(1, _CONV_CHUNK // (c_in * width))
+    for t0 in range(0, t_out, chunk):
+        blk = windows[:, t0 : t0 + chunk, :]  # [C_in, b, W] view
+        yield t0, blk.transpose(1, 0, 2).reshape(blk.shape[1], c_in * width)
+
+
+def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
+                training: bool = False, rng: np.random.Generator | None = None,
+                tape: Tape | None = None) -> Tensor:
+    """One layer as one node: 'same' strided conv of a [C_in, T] input with
+    [C_out, C_in, W] kernels, ReLU, inverted dropout (training only) and
+    non-overlapping max-pool, whose ties route the gradient to the first
+    index. Untaped calls allocate no ReLU mask or argmax and apply the
+    ReLU and dropout in place."""
+    dx, dk = x.data, kernels.data
+    c_in, t_in = dx.shape
+    c_out, _, width = dk.shape
+    stride, window, rate = layer.stride, layer.pool_window, layer.dropout_rate
+    t_conv, pad_l, pad_r = _same_geometry(t_in, width, stride)
+    kmat = dk.reshape(c_out, c_in * width)
+    y = np.empty((c_out, t_conv))
+    for t0, cols in _im2col(dx, width, stride, (pad_l, pad_r), t_conv):
+        y[:, t0 : t0 + len(cols)] = kmat @ cols.T
+        del cols
+    y += bias.data[:, None]
+    relu_mask = y > 0.0 if tape is not None else None
+    np.maximum(y, 0.0, out=y)
+    keep_mask, scale = None, 1.0 / (1.0 - rate)
+    if training and rate > 0.0:
+        if rng is None:
+            raise ParameterError("training-mode dropout needs a seeded generator")
+        keep_mask = rng.random(y.shape) >= rate
+        y *= keep_mask  # then scale: the same bits as y * (keep_mask / keep)
+        y *= scale
+    t_out = t_conv // window
+    if window > 1 and tape is None:  # a running maximum over strided columns
+        pooled = y[:, : t_out * window : window].copy()
+        for k in range(1, window):
+            np.maximum(pooled, y[:, k : t_out * window : window], out=pooled)
+        y = pooled
+    elif window > 1:
+        blocks = y[:, : t_out * window].reshape(c_out, t_out, window)
+        arg = blocks.argmax(axis=2)  # first maximal index on ties
+        y = np.take_along_axis(blocks, arg[:, :, None], axis=2)[:, :, 0]
+    out = Tensor(y)
+    if tape is None:
+        return out
+
+    def bw(g):
+        if window > 1:
+            gy = np.zeros((c_out, t_conv))
+            np.put_along_axis(gy, arg + np.arange(0, t_out * window, window), g, axis=1)
+        else:
+            gy = np.array(g)
+        if keep_mask is not None:
+            gy *= keep_mask
+            gy *= scale
+        gy *= relu_mask
+        gk = np.zeros((c_out, c_in * width))
+        for t0, cols in _im2col(dx, width, stride, (pad_l, pad_r), t_conv):
+            gk += gy[:, t0 : t0 + len(cols)] @ cols
+            del cols
+        # rows of kmat.T @ gy in blocks of whole input channels, at most
+        # _CONV_CHUNK elements each, scattered tap by tap into the padded input
+        gxp = np.zeros((c_in, pad_l + t_in + pad_r))
+        last = (t_conv - 1) * stride
+        step = max(1, _CONV_CHUNK // (width * t_conv))
+        for c0 in range(0, c_in, step):
+            gcols = (kmat.T[c0 * width : (c0 + step) * width] @ gy).reshape(-1, width, t_conv)
+            for w in range(width):
+                gxp[c0 : c0 + step, w : w + last + 1 : stride] += gcols[:, w, :]
+            del gcols
+        return gxp[:, pad_l : pad_l + t_in], gk.reshape(dk.shape), gy.sum(axis=1)
+
+    tape.record(out, (x, kernels, bias), bw)
+    return out
+
+
 def input_span(config: CnnConfig, n: int, feature_index: int) -> tuple[int, int]:
     """Inclusive input-sample interval that can influence one output feature.
 
@@ -235,14 +310,11 @@ def input_span(config: CnnConfig, n: int, feature_index: int) -> tuple[int, int]
 
 def _span(config: CnnConfig, n: int, feature_index: int) -> tuple[int, int]:
     """input_span before clamping: padded positions count as samples."""
-    lengths = [n]
-    pads = []
+    t, pads = n, []
     for layer in config.layers:
-        t_in = lengths[-1]
-        t_conv = -(-t_in // layer.stride)
-        total = max(0, (t_conv - 1) * layer.stride + layer.kernel_width - t_in)
-        pads.append(total // 2)
-        lengths.append(t_conv // layer.pool_window)
+        t_conv, pad_l, _ = _same_geometry(t, layer.kernel_width, layer.stride)
+        pads.append(pad_l)
+        t = t_conv // layer.pool_window
     targets = {tgt: src for src, tgt in config.residual_pairs}
 
     # pending[i] = interval of layer i's *output* indices still to trace back

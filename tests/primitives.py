@@ -1,11 +1,13 @@
 """Tape primitives that the package no longer runs, kept for the tests.
 
-The model records its GRU recurrence and its CRF losses as fused nodes,
-so these elementwise operations have no caller under ``src/``. Tests
-still compose them: criterion 2's primitive batteries, the step-by-step
-GRU reference in ``test_gru.py`` and the composed NLL reference in
-``test_crf.py``. Each follows the ``ncrf.autodiff`` convention: compute
-with numpy and, when a Tape is passed, record one node.
+The model records each CNN layer, its GRU recurrence and its CRF losses
+as fused nodes, so these operations have no caller under ``src/``. Tests
+still compose them: criterion 2's primitive batteries, the composed
+conv -> ReLU -> dropout -> max-pool reference in ``test_cnn.py``, the
+step-by-step GRU reference in ``test_gru.py`` and the composed NLL
+reference in ``test_crf.py``. Each follows the ``ncrf.autodiff``
+convention: compute with numpy and, when a Tape is passed, record one
+node.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ncrf.autodiff import Tape, Tensor, _sigmoid, _unbroadcast
+from ncrf.cnn import _CONV_CHUNK
+from ncrf.errors import DimensionError, ParameterError
 
 
 def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -84,4 +88,144 @@ def reshape(x: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tens
     out = Tensor(x.data.reshape(shape))
     if tape is not None:
         tape.record(out, (x,), lambda g: (g.reshape(orig),))
+    return out
+
+
+def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
+    out = Tensor(np.maximum(x.data, 0.0))
+    if tape is not None:
+        mask = x.data > 0.0
+        tape.record(out, (x,), lambda g: (g * mask,))
+    return out
+
+
+def _conv_geometry(t_in: int, width: int, stride: int, padding: str) -> tuple[int, int, int]:
+    """Return (t_out, pad_left, pad_right) for one conv layer."""
+    if padding == "same":
+        t_out = -(-t_in // stride)
+        total = max(0, (t_out - 1) * stride + width - t_in)
+        left = total // 2
+        return t_out, left, total - left
+    if padding == "valid":
+        if width > t_in:
+            raise DimensionError(f"kernel width {width} exceeds input length {t_in}")
+        return (t_in - width) // stride + 1, 0, 0
+    raise ParameterError(f"padding must be 'same' or 'valid', got {padding!r}")
+
+
+def conv1d(
+    x: Tensor,
+    kernels: Tensor,
+    bias: Tensor,
+    stride: int = 1,
+    padding: str = "same",
+    tape: Tape | None = None,
+) -> Tensor:
+    """Strided cross-correlation of a [C_in, T] signal with [C_out, C_in, W] kernels.
+
+    ``same`` padding pads with zeros so the output length is ceil(T/stride);
+    ``valid`` uses no padding. The activation is a separate op.
+    """
+    dx, dk, db = x.data, kernels.data, bias.data
+    if dx.ndim != 2 or dk.ndim != 3:
+        raise DimensionError(f"conv1d expects [C,T] input and [O,C,W] kernels, got {dx.shape}, {dk.shape}")
+    c_in, t_in = dx.shape
+    c_out, kc, width = dk.shape
+    if kc != c_in:
+        raise DimensionError(f"kernel channels {kc} do not match input channels {c_in}")
+    if db.shape != (c_out,):
+        raise DimensionError(f"bias shape {db.shape} does not match {c_out} output channels")
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    t_out, pad_l, pad_r = _conv_geometry(t_in, width, stride, padding)
+    if t_out < 1:
+        raise DimensionError("convolution produces an empty output")
+
+    xp = np.pad(dx, ((0, 0), (pad_l, pad_r))) if (pad_l or pad_r) else dx
+    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=1)[:, ::stride, :]
+    # windows: [C_in, T_out, W] view; chunk the contiguous copy tensordot makes
+    chunk = max(1, _CONV_CHUNK // max(1, c_in * width))
+    y = np.empty((c_out, t_out))
+    kmat = dk.reshape(c_out, c_in * width)
+    for t0 in range(0, t_out, chunk):
+        blk = windows[:, t0 : t0 + chunk, :]  # [C_in, b, W]
+        b = blk.shape[1]
+        cols = blk.transpose(1, 0, 2).reshape(b, c_in * width)
+        y[:, t0 : t0 + chunk] = kmat @ cols.T
+    y += db[:, None]
+    out = Tensor(y)
+
+    if tape is not None:
+
+        def bw(g):
+            gk = np.zeros((c_out, c_in * width))
+            for t0 in range(0, t_out, chunk):
+                blk = windows[:, t0 : t0 + chunk, :]
+                b = blk.shape[1]
+                cols = blk.transpose(1, 0, 2).reshape(b, c_in * width)
+                gk += g[:, t0 : t0 + chunk] @ cols
+            gxp = np.zeros_like(xp)
+            gcols = kmat.T @ g  # [C_in*W, T_out]
+            gcols = gcols.reshape(c_in, width, t_out)
+            last = (t_out - 1) * stride
+            for w in range(width):
+                gxp[:, w : w + last + 1 : stride] += gcols[:, w, :]
+            gx = gxp[:, pad_l : pad_l + t_in] if (pad_l or pad_r) else gxp
+            return (gx, gk.reshape(c_out, c_in, width), g.sum(axis=1))
+
+        tape.record(out, (x, kernels, bias), bw)
+    return out
+
+
+def maxpool1d(x: Tensor, window: int, tape: Tape | None = None) -> Tensor:
+    """Non-overlapping window maxima; ties route gradient to the first index."""
+    if window < 1:
+        raise ParameterError(f"pool window must be >= 1, got {window}")
+    dx = x.data
+    if dx.ndim != 2:
+        raise DimensionError(f"maxpool1d expects [C,T], got {dx.shape}")
+    c, t = dx.shape
+    t_out = t // window
+    if t_out < 1:
+        raise DimensionError(f"input length {t} shorter than pool window {window}")
+    if window == 1:
+        trimmed = Tensor(dx.copy())
+        if tape is not None:
+            tape.record(trimmed, (x,), lambda g: (g,))
+        return trimmed
+    blocks = dx[:, : t_out * window].reshape(c, t_out, window)
+    arg = blocks.argmax(axis=2)  # first maximal index on ties
+    out = Tensor(np.take_along_axis(blocks, arg[:, :, None], axis=2)[:, :, 0])
+    if tape is not None:
+
+        def bw(g):
+            gb = np.zeros((c, t_out, window))
+            np.put_along_axis(gb, arg[:, :, None], g[:, :, None], axis=2)
+            gx = np.zeros_like(dx)
+            gx[:, : t_out * window] = gb.reshape(c, t_out * window)
+            return (gx,)
+
+        tape.record(out, (x,), bw)
+    return out
+
+
+def dropout(
+    x: Tensor,
+    rate: float,
+    training: bool,
+    rng: np.random.Generator | None = None,
+    tape: Tape | None = None,
+) -> Tensor:
+    """Inverted dropout: train-time masking and rescaling, identity at inference."""
+    if not 0.0 <= rate < 1.0:
+        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return x
+    if rng is None:
+        raise ParameterError("training-mode dropout needs a seeded generator")
+    keep = 1.0 - rate
+    mask = (rng.random(x.shape) >= rate) / keep
+    out = Tensor(x.data * mask)
+    if tape is not None:
+        tape.record(out, (x,), lambda g: (g * mask,))
     return out

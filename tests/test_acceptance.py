@@ -18,20 +18,16 @@ from ncrf.autodiff import (
     Tensor,
     add,
     affine,
-    conv1d,
-    dropout,
     gather_pairs,
     grad_check,
     matmul,
-    maxpool1d,
     mul,
     reduce_sum,
-    relu,
     take_cols,
     transpose,
 )
 from ncrf.cli import gradcheck_battery
-from ncrf.cnn import cnn_forward, cnn_init, paper_cnn_config
+from ncrf.cnn import ConvLayerSpec, _conv_layer, cnn_forward, cnn_init, paper_cnn_config
 from ncrf.crf import (
     CrfPotentials,
     brute_force_best,
@@ -47,7 +43,17 @@ from ncrf.data import SynthConfig, skewed_config, split_by_subject, synth_genera
 from ncrf.metrics import kappa, kappa_from_confusion, se_mae, sleep_efficiency
 from ncrf.model import evaluate, hidden_states
 from ncrf.training import TrainConfig, train
-from primitives import exp, logsumexp, reshape, sigmoid, tanh
+from primitives import (
+    conv1d,
+    dropout,
+    exp,
+    logsumexp,
+    maxpool1d,
+    relu,
+    reshape,
+    sigmoid,
+    tanh,
+)
 
 K = 4
 SPLIT_SEED = 7
@@ -170,6 +176,21 @@ def _primitive_batteries(rng):
         return reduce_sum(mul(y, y, tape), tape=tape)
 
     batteries["dropout(fixed mask)"] = (drop_loss, drop_params)
+
+    # own generator: the coordinates checked in the batteries above stay put
+    layer_rng = np.random.default_rng(21)
+    layer_params = ModelParams({
+        "x": Tensor(layer_rng.normal(size=(2, 13))),
+        "k": Tensor(layer_rng.normal(size=(3, 2, 4))),
+        "b": Tensor(layer_rng.normal(size=3)),
+    })
+    layer = ConvLayerSpec(4, 2, 3, pool_window=2, dropout_rate=0.3)
+
+    def layer_loss(p, tape):
+        y = _conv_layer(p["x"], p["k"], p["b"], layer, True, np.random.default_rng(321), tape)
+        return logsumexp(reshape(y, (-1,), tape), tape=tape)
+
+    batteries["fused conv layer(fixed mask)"] = (layer_loss, layer_params)
     return batteries
 
 

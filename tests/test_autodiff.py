@@ -13,20 +13,27 @@ from ncrf.autodiff import (
     Tensor,
     add,
     affine,
-    conv1d,
-    dropout,
     gather_pairs,
     grad_check,
     matmul,
-    maxpool1d,
     mul,
     reduce_sum,
-    relu,
     take_cols,
     transpose,
 )
 from ncrf.errors import DimensionError, NumericError, ParameterError
-from primitives import exp, logsumexp, reshape, scale, sigmoid
+from primitives import (
+    _conv_geometry,
+    conv1d,
+    dropout,
+    exp,
+    logsumexp,
+    maxpool1d,
+    relu,
+    reshape,
+    scale,
+    sigmoid,
+)
 
 
 def test_every_public_autodiff_name_is_imported_by_the_package():
@@ -92,8 +99,6 @@ def test_conv_hand_unrolled_example():
 
 def test_conv_same_padding_output_length_paper_scale():
     # ceil(864000 / 2) feature values per map
-    from ncrf.autodiff import _conv_geometry
-
     t_out, _, _ = _conv_geometry(864000, 10, 2, "same")
     assert t_out == 432000
 
@@ -101,8 +106,6 @@ def test_conv_same_padding_output_length_paper_scale():
 @pytest.mark.parametrize("stride,padding", [(1, "valid"), (2, "valid"), (1, "same"), (3, "same")])
 def test_conv_matches_reference_on_random_inputs(stride, padding):
     rng = np.random.default_rng(42)
-    from ncrf.autodiff import _conv_geometry
-
     for _ in range(5):
         c_in, c_out, width, t_in = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 5), 13
         x = rng.normal(size=(c_in, t_in))

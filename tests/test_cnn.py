@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrf import cnn
-from ncrf.autodiff import Tape, Tensor, grad_check, reduce_sum, take_cols
+from ncrf.autodiff import Tape, Tensor, grad_check, mul, reduce_sum, take_cols
 from ncrf.cnn import (
     CnnConfig,
     ConvLayerSpec,
@@ -20,6 +20,8 @@ from ncrf.data import Record
 from ncrf.errors import ConfigurationError, ParameterError
 from ncrf.model import ModelConfig, decode_record, desk_config, init_params, paper_config, record_loss
 from ncrf.rng import SplitRng
+import primitives
+from primitives import conv1d, dropout, maxpool1d, relu
 
 
 def tiny_config(**kwargs):
@@ -52,6 +54,16 @@ def test_residual_pair_ordering_enforced():
         CnnConfig(layers=(ConvLayerSpec(3, 1, 2),), residual_pairs=((0, 0),))
     with pytest.raises(ConfigurationError):
         CnnConfig(layers=(ConvLayerSpec(3, 1, 2),), residual_pairs=((0, 5),))
+
+
+def test_residual_pairs_may_not_share_a_target():
+    # one shortcut per target layer: a second would get a projection that
+    # the stack never adds
+    layers = (ConvLayerSpec(3, 1, 4),) * 3
+    with pytest.raises(ConfigurationError):
+        CnnConfig(layers=layers, residual_pairs=((0, 2), (1, 2)))
+    CnnConfig(layers=layers, residual_pairs=((0, 1), (1, 2)))
+    CnnConfig(layers=layers, residual_pairs=((0, 1), (0, 2)))
 
 
 def test_layer_spec_validation():
@@ -184,6 +196,128 @@ def test_dropout_path_deterministic_given_generator():
     a = cnn_forward(x, config, params, training=True, rng=SplitRng(5).child("d").generator())
     b = cnn_forward(x, config, params, training=True, rng=SplitRng(5).child("d").generator())
     np.testing.assert_array_equal(a.data, b.data)
+
+
+# ---------------------------------------------------------------------------
+# the fused layer against the composed primitives
+# ---------------------------------------------------------------------------
+
+
+def composed_layer(x, kernels, bias, layer, training=False, rng=None, tape=None):
+    """Up to four tape nodes per layer; the fused layer must match it bit for bit."""
+    y = relu(conv1d(x, kernels, bias, layer.stride, "same", tape), tape)
+    if layer.dropout_rate > 0.0:
+        y = dropout(y, layer.dropout_rate, training, rng, tape)
+    if layer.pool_window > 1:
+        y = maxpool1d(y, layer.pool_window, tape)
+    return y
+
+
+def _layer_run(layer_fn, x, kernels, bias, layer, training, taped, weights):
+    """The output, the generator's next draw and, when taped, the input,
+    kernel and bias adjoints of sum(output * weights)."""
+    rng = np.random.default_rng(77)
+    tape = Tape() if taped else None
+    out = layer_fn(x, kernels, bias, layer, training, rng, tape)
+    result = [out.data, np.array(rng.random())]
+    if taped:
+        tape.backward(reduce_sum(mul(out, Tensor(weights), tape), tape=tape))
+        result += [tape.grad(t) for t in (x, kernels, bias)]
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 9), stride=st.integers(1, 3), window=st.integers(1, 3),
+       c_in=st.integers(1, 3), c_out=st.integers(1, 3), rate=st.sampled_from([0.0, 0.3]),
+       training=st.booleans(), taped=st.booleans(), extra=st.integers(0, 12),
+       seed=st.integers(0, 2**16))
+def test_fused_layer_equals_composed_bytes(width, stride, window, c_in, c_out, rate, training,
+                                          taped, extra, seed):
+    rng = np.random.default_rng(seed)
+    layer = ConvLayerSpec(width, stride, c_out, window, rate)
+    t_in = stride * window + extra  # at least one pooled column; a tail may be cut
+    x = Tensor(rng.normal(size=(c_in, t_in)))
+    kernels = Tensor(rng.normal(size=(c_out, c_in, width)))
+    bias = Tensor(rng.normal(size=c_out))
+    weights = rng.normal(size=(c_out, -(-t_in // stride) // window))
+    args = (x, kernels, bias, layer, training, taped, weights)
+    fused = [a.tobytes() for a in _layer_run(cnn._conv_layer, *args)]
+    assert fused == [a.tobytes() for a in _layer_run(composed_layer, *args)]
+
+
+def test_fused_layer_matches_composed_at_paper_geometry():
+    # paper layer 1 over five epochs: 256 channels in and out, and an im2col
+    # that runs in two blocks
+    rng = np.random.default_rng(31)
+    layer = paper_cnn_config().layers[1]
+    x = Tensor(np.maximum(rng.normal(size=(256, 5 * 960)), 0.0))
+    kernels = Tensor(rng.uniform(-0.03, 0.03, size=(256, 256, layer.kernel_width)))
+    bias = Tensor(rng.normal(scale=0.01, size=256))
+    weights = rng.normal(size=(256, 5 * 960 // layer.downsample))
+    args = (x, kernels, bias, layer, True, True, weights)
+    assert 5 * 960 // 2 > cnn._CONV_CHUNK // (256 * layer.kernel_width)
+    fused = _layer_run(cnn._conv_layer, *args)
+    reference = _layer_run(composed_layer, *args)
+    assert fused[1] == reference[1]  # the same dropout draws
+    for got, want in zip(fused, reference):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_the_tape_keeps_bool_masks_and_no_scratch():
+    # what one taped layer leaves allocated: its output, a bool ReLU mask, a
+    # bool dropout mask and the pool argmax, and no padded or float copies
+    rng = np.random.default_rng(12)
+    layer = ConvLayerSpec(5, 1, 16, 2, 0.3)
+    x = Tensor(rng.normal(size=(4, 20_000)))
+    kernels, bias = Tensor(rng.normal(size=(16, 4, 5))), Tensor(rng.normal(size=16))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape = Tape()
+        out = cnn._conv_layer(x, kernels, bias, layer, True, np.random.default_rng(1), tape)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    conv_size = 16 * 20_000
+    assert held <= out.data.nbytes + 2 * conv_size + 8 * out.size + (64 << 10), held
+
+
+def _taped_step_peak(config, params, record) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape = Tape()
+        loss = record_loss(config, params, record, training=True,
+                           rng=np.random.default_rng(3), tape=tape)
+        tape.backward(loss)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_taped_step_peak_is_at_most_half_the_composed_layers(monkeypatch):
+    # At 256 channels the im2col blocks are far narrower than the activations;
+    # a smaller block keeps that proportion at 8 channels, for both stacks.
+    for module in (cnn, primitives):
+        monkeypatch.setattr(module, "_CONV_CHUNK", 1 << 16)
+    config = paper_config("crf", hidden_dim=8, channels=8)
+    params = init_params(config, 1)
+    record = _random_record(config, 32, seed=2)
+    fused = _taped_step_peak(config, params, record)
+    monkeypatch.setattr(cnn, "_conv_layer", composed_layer)
+    composed = _taped_step_peak(config, params, record)
+    assert 2 * fused <= composed, (fused, composed)
+
+
+def test_desk_crf_record_tape_is_fourteen_nodes():
+    # one node per CNN layer, take_cols / transpose / matmul / add for the
+    # shortcut, four GRU nodes and three CRF nodes
+    config = desk_config("crf")
+    params = init_params(config, 4)
+    tape = Tape()
+    record_loss(config, params, _random_record(config, 120, seed=5), training=True,
+                rng=np.random.default_rng(6), tape=tape)
+    assert len(tape) == 14
 
 
 # ---------------------------------------------------------------------------
