@@ -2,8 +2,8 @@
 
 Each layer is conv -> ReLU -> dropout -> optional max-pool, recorded as
 one tape node with a hand-written backward: the node keeps its output,
-bool ReLU and dropout masks and the pool argmax, and re-pads its input
-only in the backward. Residual connections add a saved earlier
+bool ReLU and dropout masks and the pool argmax, and rebuilds its input
+windows only in the backward. Residual connections add a saved earlier
 activation to a later layer's output; when shapes differ the source is
 aligned in time by strided column selection and in channels by a
 learned projection applied as U^T X (initialized to the truncated
@@ -213,17 +213,23 @@ def _same_geometry(t_in: int, width: int, stride: int) -> tuple[int, int, int]:
     return t_out, total // 2, total - total // 2
 
 
-def _im2col(x: np.ndarray, width: int, stride: int, pads: tuple[int, int], t_out: int):
-    """Yield (t0, cols): the [b, C_in*W] windows of the zero-padded input
-    starting at output column t0, in blocks of at most _CONV_CHUNK elements.
-    Callers delete each block before asking for the next, so one is alive."""
-    c_in = x.shape[0]
-    xp = np.pad(x, ((0, 0), pads)) if any(pads) else x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=1)[:, ::stride, :]
+def _im2col(x: np.ndarray, width: int, stride: int, pad_left: int, t_out: int):
+    """Yield (t0, cols): the [b, C_in*W] windows, from output column t0 on,
+    of the input zero-padded by pad_left columns on the left (and as needed
+    on the right), in blocks of at most _CONV_CHUNK elements. Only a block
+    that reaches into the padding copies and pads its own slice; callers
+    delete each block before asking for the next, so one is alive."""
+    c_in, t_in = x.shape
     chunk = max(1, _CONV_CHUNK // (c_in * width))
     for t0 in range(0, t_out, chunk):
-        blk = windows[:, t0 : t0 + chunk, :]  # [C_in, b, W] view
-        yield t0, blk.transpose(1, 0, 2).reshape(blk.shape[1], c_in * width)
+        b = min(chunk, t_out - t0)
+        lo = t0 * stride - pad_left  # the block's input span [lo, hi) in unpadded columns
+        hi = lo + (b - 1) * stride + width
+        xs = x[:, max(lo, 0) : min(hi, t_in)]
+        if lo < 0 or hi > t_in:
+            xs = np.pad(xs, ((0, 0), (max(0, -lo), max(0, hi - t_in))))
+        blk = np.lib.stride_tricks.sliding_window_view(xs, width, axis=1)[:, ::stride, :]
+        yield t0, blk.transpose(1, 0, 2).reshape(b, c_in * width)
 
 
 def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
@@ -241,7 +247,7 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
     t_conv, pad_l, pad_r = _same_geometry(t_in, width, stride)
     kmat = dk.reshape(c_out, c_in * width)
     y = np.empty((c_out, t_conv))
-    for t0, cols in _im2col(dx, width, stride, (pad_l, pad_r), t_conv):
+    for t0, cols in _im2col(dx, width, stride, pad_l, t_conv):
         y[:, t0 : t0 + len(cols)] = kmat @ cols.T
         del cols
     y += bias.data[:, None]
@@ -279,7 +285,7 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
             gy *= scale
         gy *= relu_mask
         gk = np.zeros((c_out, c_in * width))
-        for t0, cols in _im2col(dx, width, stride, (pad_l, pad_r), t_conv):
+        for t0, cols in _im2col(dx, width, stride, pad_l, t_conv):
             gk += gy[:, t0 : t0 + len(cols)] @ cols
             del cols
         # rows of kmat.T @ gy in blocks of whole input channels, at most

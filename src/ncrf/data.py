@@ -14,6 +14,8 @@ the code.
 
 from __future__ import annotations
 
+import bisect
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
@@ -39,6 +41,7 @@ class SleepStage(IntEnum):
 
 
 STAGE_TOKENS = ("W", "R", "L", "D")
+_WRITE_BLOCK = 1 << 12  # samples formatted per write of a signal file
 _TOKEN_TO_STAGE = {tok: SleepStage(i) for i, tok in enumerate(STAGE_TOKENS)}
 
 
@@ -103,14 +106,20 @@ def _read_lines(path: Path) -> list[str]:
         raise DataParseError(f"{path}: {e}") from e
 
 
-def _require_finite(signal: np.ndarray, path: Path, sid: str) -> None:
-    """Reject NaN and infinite samples, naming the first such line of a
-    signal file that np.loadtxt has already parsed."""
-    if np.isfinite(signal).all():
+def _check_samples(signal: np.ndarray, path: Path, sid: str) -> None:
+    """Reject a signal file that np.loadtxt parsed to no samples, or to NaN or
+    infinite ones, naming the line that holds the first non-finite sample."""
+    if signal.size == 0:
+        raise DataParseError(f"{path}: no samples")
+    bad = np.flatnonzero(~np.isfinite(signal))
+    if not bad.size:
         return
-    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
-        if not all(np.isfinite(float(tok)) for tok in raw.split(b"#")[0].split()):
-            raise DataParseError(f"{path}:{lineno}: non-finite sample in subject {sid!r}")
+    seen = 0
+    with open(path, encoding="utf-8") as f:  # the lines and tokens np.loadtxt read
+        for lineno, line in enumerate(f, start=1):
+            seen += len(line.split("#")[0].split())
+            if seen > bad[0]:
+                raise DataParseError(f"{path}:{lineno}: non-finite sample in subject {sid!r}")
     raise DataParseError(f"{path}: non-finite sample in subject {sid!r}")
 
 
@@ -141,10 +150,12 @@ def load_records(
         sig_file = base / sig_path
         lab_file = base / lab_path
         try:
-            signal = np.loadtxt(sig_file, dtype=np.float64, ndmin=1)
+            with warnings.catch_warnings():  # an empty file warns; _check_samples names it
+                warnings.simplefilter("ignore")
+                signal = np.loadtxt(sig_file, dtype=np.float64, ndmin=1, encoding="utf-8")
         except (OSError, ValueError) as e:
             raise DataParseError(f"{sig_file}: {e}") from e
-        _require_finite(signal, sig_file, sid)
+        _check_samples(signal, sig_file, sid)
         labels = parse_labels(_read_lines(lab_file), origin=str(lab_file))
         records.append(
             Record(sid, signal, labels, sample_rate_hz=sample_rate_hz, epoch_seconds=epoch_seconds)
@@ -163,11 +174,10 @@ def write_corpus(records: list[Record], out_dir: str | Path) -> Path:
         sig_name = f"{rec.subject_id}.signal.txt"
         lab_name = f"{rec.subject_id}.labels.txt"
         with open(out / sig_name, "w") as f:
-            for v in rec.signal:
-                f.write(repr(float(v)) + "\n")
-        with open(out / lab_name, "w") as f:
-            for lab in rec.labels:
-                f.write(STAGE_TOKENS[lab] + "\n")
+            for a in range(0, rec.num_samples, _WRITE_BLOCK):
+                f.write("\n".join(map(repr, rec.signal[a : a + _WRITE_BLOCK].tolist())) + "\n")
+        tokens = [STAGE_TOKENS[lab] + "\n" for lab in rec.labels.tolist()]
+        (out / lab_name).write_text("".join(tokens))
         lines.append(f"{rec.subject_id},{sig_name},{lab_name}")
     manifest = out / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n")
@@ -197,16 +207,10 @@ def split_by_subject(
         raise ParameterError("rounding left no training subjects")
     order = SplitRng(seed).child("subject-split").generator().permutation(n)
     shuffled = [subjects[i] for i in order]
-    train_ids = set(shuffled[:n_train])
-    val_ids = set(shuffled[n_train : n_train + n_val])
+    split_of = {sid: (k >= n_train) + (k >= n_train + n_val) for k, sid in enumerate(shuffled)}
     by_split = ([], [], [])
     for rec in records:
-        if rec.subject_id in train_ids:
-            by_split[0].append(rec)
-        elif rec.subject_id in val_ids:
-            by_split[1].append(rec)
-        else:
-            by_split[2].append(rec)
+        by_split[split_of[rec.subject_id]].append(rec)
     return by_split
 
 
@@ -295,42 +299,38 @@ class SynthConfig:
 
 def _sample_chain(tm: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
     """Markov chain from Wake; zero-probability moves can never be drawn."""
-    labels = np.empty(length, dtype=np.intp)
-    labels[0] = int(SleepStage.WAKE)
-    draws = rng.random(length - 1) if length > 1 else ()
-    for t in range(1, length):
-        nonzero = np.flatnonzero(tm[labels[t - 1]])
-        cdf = np.cumsum(tm[labels[t - 1], nonzero])
-        pick = np.searchsorted(cdf, draws[t - 1] * cdf[-1], side="right")
-        labels[t] = nonzero[min(pick, nonzero.size - 1)]
-    return labels
+    moves = [np.flatnonzero(row).tolist() for row in tm]
+    cdfs = [np.cumsum(row[row != 0]).tolist() for row in tm]
+    state = int(SleepStage.WAKE)
+    labels = [state]
+    for u in rng.random(length - 1).tolist():
+        cdf = cdfs[state]
+        pick = bisect.bisect_right(cdf, u * cdf[-1])
+        state = moves[state][min(pick, len(cdf) - 1)]
+        labels.append(state)
+    return np.array(labels, dtype=np.intp)
 
 
 def synth_generate(config: SynthConfig) -> list[Record]:
-    """Deterministic synthetic corpus for the given config and seed."""
+    """Deterministic synthetic corpus for the given config and seed: each record
+    draws its chain's uniforms, then per epoch one amplitude and spe noise normals."""
     root = SplitRng(config.seed)
     spe = config.sample_rate * config.epoch_seconds
     times = np.arange(spe) / config.sample_rate
+    waves = np.array([np.sin(2.0 * np.pi * f * times + _PHASE) for f in config.stage_freq])
     records = []
     for i in range(config.num_subjects):
         rng = root.child("synth", i).generator()
         labels = _sample_chain(config.transition_matrix, config.epochs_per_subject, rng)
-        signal = np.empty(config.epochs_per_subject * spe)
-        for t, lab in enumerate(labels):
-            amp = config.stage_amp[lab] * abs(1.0 + config.stage_amp_var[lab] * rng.standard_normal())
-            phase = _PHASE
-            wave = amp * np.sin(2.0 * np.pi * config.stage_freq[lab] * times + phase)
-            noise = config.stage_noise[lab] * rng.standard_normal(spe)
-            signal[t * spe : (t + 1) * spe] = wave + noise
-        records.append(
-            Record(
-                subject_id=f"synth{i:04d}",
-                signal=signal,
-                labels=labels,
-                sample_rate_hz=config.sample_rate,
-                epoch_seconds=config.epoch_seconds,
-            )
-        )
+        z = rng.standard_normal((labels.size, 1 + spe))
+        amp = config.stage_amp[labels] * np.abs(1.0 + config.stage_amp_var[labels] * z[:, 0])
+        signal = waves[labels]  # scaled and noised in place: no third record-sized array
+        signal *= amp[:, None]
+        z[:, 1:] *= config.stage_noise[labels][:, None]
+        signal += z[:, 1:]
+        records.append(Record(f"synth{i:04d}", signal.reshape(-1), labels,
+                              sample_rate_hz=config.sample_rate,
+                              epoch_seconds=config.epoch_seconds))
     return records
 
 

@@ -87,6 +87,8 @@ def gru_forward(
             # the sums below are not reassociated, and the column adjoints
             # gain the `+ 0.0` that scatter-adding zero matrices gives.
             gz, gr, gh = np.zeros(xz.shape), np.zeros(xr.shape), np.zeros(xh.shape)
+            n = uz.shape[0]
+            g3 = np.empty(3 * n)  # the z, r and candidate gate adjoints of one step
             dh = g[:, m - 1]
             for t in range(m - 1, -1, -1):
                 h_prev, u, r, mh, act, cand, keep = steps[t]
@@ -100,19 +102,17 @@ def gru_forward(
                 g_mh = g_pre * r
                 g_ar = (g_pre * mh) * r * (1.0 - r)
                 g_az = g_u * u * (1.0 - u)
-                outer = (np.outer(g_az, h_prev), np.outer(g_ar, h_prev), np.outer(g_mh, h_prev))
-                if t == m - 1:
-                    gUz, gUr, gUh = outer
+                g3[:n], g3[n : 2 * n], g3[2 * n :] = g_az, g_ar, g_mh
+                if t == m - 1:  # the stacked U_z, U_r and U_h gradients
+                    gU = g3[:, None] * h_prev
                 else:
-                    gUz += outer[0]
-                    gUr += outer[1]
-                    gUh += outer[2]
+                    gU += g3[:, None] * h_prev
                 gz[:, t], gr[:, t], gh[:, t] = g_az, g_ar, g_pre
                 if t:
                     dh = g[:, t - 1] + dh * u + uh.T @ g_mh + ur.T @ g_ar + uz.T @ g_az
             if m > 1:
                 gz, gr, gh = gz + 0.0, gr + 0.0, gh + 0.0
-            return gz, gr, gh, gUz, gUr, gUh
+            return gz, gr, gh, gU[:n], gU[n : 2 * n], gU[2 * n :]
 
         tape.record(out, (in_z, in_r, in_h, U_z, U_r, U_h), bw)
     return out

@@ -1,4 +1,5 @@
-"""Tape primitives that the package no longer runs, kept for the tests.
+"""Tape primitives and data generators that the package no longer runs,
+kept for the tests.
 
 The model records each CNN layer, its GRU recurrence and its CRF losses
 as fused nodes, so these operations have no caller under ``src/``. Tests
@@ -8,6 +9,11 @@ step-by-step GRU reference in ``test_gru.py`` and the composed NLL
 reference in ``test_crf.py``. Each follows the ``ncrf.autodiff``
 convention: compute with numpy and, when a Tape is passed, record one
 node.
+
+``sample_chain_per_step`` and ``synth_generate_per_epoch`` are the
+synthetic corpus generator as it was written first, one chain step and
+one epoch at a time; ``test_data.py`` holds ``data.synth_generate`` to
+their bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ import numpy as np
 
 from ncrf.autodiff import Tape, Tensor, _sigmoid, _unbroadcast
 from ncrf.cnn import _CONV_CHUNK
+from ncrf.data import _PHASE, Record, SleepStage, SynthConfig
 from ncrf.errors import DimensionError, ParameterError
+from ncrf.rng import SplitRng
 
 
 def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -229,3 +237,43 @@ def dropout(
     if tape is not None:
         tape.record(out, (x,), lambda g: (g * mask,))
     return out
+
+
+def sample_chain_per_step(tm: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Markov chain from Wake; zero-probability moves can never be drawn."""
+    labels = np.empty(length, dtype=np.intp)
+    labels[0] = int(SleepStage.WAKE)
+    draws = rng.random(length - 1) if length > 1 else ()
+    for t in range(1, length):
+        nonzero = np.flatnonzero(tm[labels[t - 1]])
+        cdf = np.cumsum(tm[labels[t - 1], nonzero])
+        pick = np.searchsorted(cdf, draws[t - 1] * cdf[-1], side="right")
+        labels[t] = nonzero[min(pick, nonzero.size - 1)]
+    return labels
+
+
+def synth_generate_per_epoch(config: SynthConfig) -> list[Record]:
+    """Deterministic synthetic corpus for the given config and seed."""
+    root = SplitRng(config.seed)
+    spe = config.sample_rate * config.epoch_seconds
+    times = np.arange(spe) / config.sample_rate
+    records = []
+    for i in range(config.num_subjects):
+        rng = root.child("synth", i).generator()
+        labels = sample_chain_per_step(config.transition_matrix, config.epochs_per_subject, rng)
+        signal = np.empty(config.epochs_per_subject * spe)
+        for t, lab in enumerate(labels):
+            amp = config.stage_amp[lab] * abs(1.0 + config.stage_amp_var[lab] * rng.standard_normal())
+            wave = amp * np.sin(2.0 * np.pi * config.stage_freq[lab] * times + _PHASE)
+            noise = config.stage_noise[lab] * rng.standard_normal(spe)
+            signal[t * spe : (t + 1) * spe] = wave + noise
+        records.append(
+            Record(
+                subject_id=f"synth{i:04d}",
+                signal=signal,
+                labels=labels,
+                sample_rate_hz=config.sample_rate,
+                epoch_seconds=config.epoch_seconds,
+            )
+        )
+    return records

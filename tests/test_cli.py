@@ -1,10 +1,14 @@
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncrf
 from ncrf.cli import main
 from ncrf.data import SynthConfig, save_synth_config
 from ncrf.model import desk_config, init_params
@@ -241,6 +245,22 @@ def test_predict_rejects_nonfinite_signal(tmp_path, corpus_dir, trained, capsys)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "synth0002.signal.txt:10:" in captured.err
+
+
+def test_train_on_empty_signal_file_prints_one_line(tmp_path, corpus_dir):
+    # a separate interpreter, so that a warning numpy prints would reach stderr
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    (corpus / "synth0000.signal.txt").write_text("")
+    env = {**os.environ, "PYTHONPATH": str(Path(ncrf.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncrf.cli", "train", "--data", str(corpus / "manifest.txt"),
+         "--out", str(tmp_path / "model.ncrf")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {corpus / 'synth0000.signal.txt'}: no samples\n"
 
 
 # ---------------------------------------------------------------------------

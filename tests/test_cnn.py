@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,6 +244,25 @@ def test_fused_layer_equals_composed_bytes(width, stride, window, c_in, c_out, r
     args = (x, kernels, bias, layer, training, taped, weights)
     fused = [a.tobytes() for a in _layer_run(cnn._conv_layer, *args)]
     assert fused == [a.tobytes() for a in _layer_run(composed_layer, *args)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(c_in=st.integers(1, 3), t_in=st.integers(1, 40), width=st.integers(1, 9),
+       stride=st.integers(1, 3), chunk=st.integers(1, 80), seed=st.integers(0, 2**16))
+def test_im2col_blocks_equal_windows_of_the_padded_input(c_in, t_in, width, stride, chunk,
+                                                        seed):
+    # small blocks: edge blocks pad their own slice, interior blocks are views
+    x = np.random.default_rng(seed).normal(size=(c_in, t_in))
+    t_out, pad_l, pad_r = cnn._same_geometry(t_in, width, stride)
+    xp = np.pad(x, ((0, 0), (pad_l, pad_r)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=1)[:, ::stride, :]
+    expected = windows[:, :t_out].transpose(1, 0, 2).reshape(t_out, c_in * width)
+    rows = max(1, chunk // (c_in * width))
+    with mock.patch.object(cnn, "_CONV_CHUNK", chunk):
+        blocks = list(cnn._im2col(x, width, stride, pad_l, t_out))
+    assert [t0 for t0, _ in blocks] == list(range(0, t_out, rows))
+    assert all(len(cols) <= rows for _, cols in blocks)
+    assert np.concatenate([cols for _, cols in blocks]).tobytes() == expected.tobytes()
 
 
 def test_fused_layer_matches_composed_at_paper_geometry():

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from primitives import synth_generate_per_epoch
 
 from ncrf.data import (
+    _WRITE_BLOCK,
     DEFAULT_TRANSITIONS,
+    STAGE_TOKENS,
     Record,
     SleepStage,
     SynthConfig,
@@ -71,6 +76,48 @@ def test_corpus_roundtrip(tmp_path):
     for a, b in zip(records, loaded):
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.signal, b.signal)  # repr round-trips floats
+
+
+EXTREME_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e-7, 1e16]
+
+
+def test_write_corpus_writes_one_repr_per_line_and_round_trips(tmp_path):
+    rec = Record("x", EXTREME_VALUES, [2], sample_rate_hz=1, epoch_seconds=len(EXTREME_VALUES))
+    manifest = write_corpus([rec], tmp_path)
+    text = (tmp_path / "x.signal.txt").read_text()
+    assert text == "".join(repr(v) + "\n" for v in EXTREME_VALUES)
+    assert (tmp_path / "x.labels.txt").read_text() == "L\n"
+    (loaded,) = load_records(manifest, sample_rate_hz=1, epoch_seconds=len(EXTREME_VALUES))
+    assert loaded.signal.tobytes() == rec.signal.tobytes()
+
+
+def test_write_corpus_block_seams(tmp_path):
+    # whole blocks of the writer and a last one 3 samples long
+    n = (1 << 16) + 3
+    assert n % _WRITE_BLOCK == 3
+    rng = np.random.default_rng(3)
+    signal = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+    signal[_WRITE_BLOCK - 1 : _WRITE_BLOCK + 1] = EXTREME_VALUES[:2]
+    rec = Record("seam", signal, rng.integers(0, 4, size=n), sample_rate_hz=1, epoch_seconds=1)
+    manifest = write_corpus([rec], tmp_path)
+    text = (tmp_path / "seam.signal.txt").read_text()
+    assert text == "".join(repr(v) + "\n" for v in signal.tolist())
+    labels = (tmp_path / "seam.labels.txt").read_text()
+    assert labels == "".join(STAGE_TOKENS[k] + "\n" for k in rec.labels)
+    (loaded,) = load_records(manifest, sample_rate_hz=1, epoch_seconds=1)
+    assert loaded.signal.tobytes() == signal.tobytes()
+    assert loaded.labels.tobytes() == rec.labels.tobytes()
+
+
+@pytest.mark.parametrize("content", ["", "\n\n", "# airflow\n  \n# nothing else\n"])
+def test_signal_file_without_samples_fails_in_one_error(tmp_path, content):
+    records = synth_generate(SynthConfig(num_subjects=3, epochs_per_subject=4, seed=1))
+    manifest = write_corpus(records, tmp_path)
+    (tmp_path / "synth0001.signal.txt").write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataParseError, match=r"synth0001\.signal\.txt: no samples$"):
+            load_records(manifest, sample_rate_hz=4, epoch_seconds=4)
 
 
 def test_load_records_rejects_missing_manifest(tmp_path):
@@ -154,6 +201,35 @@ def test_mutated_labels_raise_only_package_errors(small_corpus, data):
         load_records(manifest, sample_rate_hz=4, epoch_seconds=4)
     except NcrfError:
         pass
+
+
+SIGNAL_TOKENS = ["1", "-2.5", "1e3", "1e999", "nan", "-inf", "Infinity", ",", "#", " ", "\t",
+                 "\n", "\r", "\r\n", "\x00", "\ufeff", "\x1c", "\x85", "\u2028", "0x1f", "1_0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_signal_file_loads_finite_samples_or_raises_package_errors(small_corpus, data):
+    kind = data.draw(st.sampled_from(["tokens", "bytes", "mutate"]))
+    if kind == "tokens":
+        soup = data.draw(st.lists(st.sampled_from(SIGNAL_TOKENS), max_size=40))
+        blob = "".join(soup).encode(data.draw(st.sampled_from(["utf-8", "utf-16", "latin-1"])),
+                                    errors="replace")
+    elif kind == "bytes":
+        blob = data.draw(st.binary(max_size=200))
+    else:
+        blob = mutate(data, small_corpus.with_name("synth0001.signal.txt").read_bytes())
+    signal = small_corpus.with_name("fuzzed.signal.txt")
+    signal.write_bytes(blob)
+    manifest = small_corpus.with_name("signal_manifest.txt")
+    manifest.write_text("synth0001,fuzzed.signal.txt,synth0001.labels.txt\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            (record,) = load_records(manifest, sample_rate_hz=4, epoch_seconds=4)
+        except NcrfError:
+            return
+    assert np.isfinite(record.signal).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -303,6 +379,40 @@ def test_skewed_config_starves_rem_and_deep():
     shares = np.bincount(labels, minlength=4) / labels.size
     assert shares[int(SleepStage.REM)] < 0.10
     assert shares[int(SleepStage.DEEP)] < 0.10
+
+
+@st.composite
+def synth_configs(draw):
+    """Small SynthConfigs with random zero transitions, noise and amplitude jitter."""
+    tm = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))).reshape(4, 4)
+    tm[np.array(draw(st.lists(st.booleans(), min_size=16, max_size=16))).reshape(4, 4)] = 0.0
+    tm[tm.sum(axis=1) == 0, draw(st.integers(0, 3))] = 1.0
+    vec = st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4)
+    return SynthConfig(
+        num_subjects=draw(st.integers(1, 3)),
+        epochs_per_subject=draw(st.integers(1, 40)),
+        sample_rate=draw(st.integers(1, 8)),
+        epoch_seconds=draw(st.integers(1, 5)),
+        transition_matrix=tm / tm.sum(axis=1, keepdims=True),
+        stage_freq=draw(st.lists(st.floats(0.05, 4.0), min_size=4, max_size=4)),
+        stage_amp=draw(vec),
+        stage_amp_var=draw(vec),
+        stage_noise=draw(vec),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=synth_configs())
+@example(config=skewed_config(num_subjects=3, epochs_per_subject=40, seed=5))
+@example(config=SynthConfig(num_subjects=2, epochs_per_subject=3, sample_rate=32,
+                            epoch_seconds=30, stage_noise=[0.5, 0.1, 1.0, 0.2],
+                            stage_amp_var=[0.3, 0.0, 0.2, 1.0], seed=8))
+def test_synth_generate_equals_per_epoch_reference_bytes(config):
+    for rec, ref in zip(synth_generate(config), synth_generate_per_epoch(config), strict=True):
+        assert rec.subject_id == ref.subject_id
+        assert rec.labels.tobytes() == ref.labels.tobytes()
+        assert rec.signal.tobytes() == ref.signal.tobytes()
 
 
 def test_synth_config_file_roundtrip(tmp_path):
