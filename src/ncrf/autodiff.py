@@ -1,15 +1,15 @@
 """Dense float64 tensors and a reverse-mode differentiation tape.
 
-Every differentiable primitive the model runs lives here, except the
-fused layers that record themselves as one node each: the CNN's
-conv -> ReLU -> dropout -> max-pool layer (``cnn._conv_layer``), the GRU
-recurrence (``gru.gru_forward``) and the CRF's log Z, NLL and
-cost-sensitive loss (``crf.log_partition``, ``crf.crf_nll``,
-``crf.cost_sensitive_loss``). An operation computes its value with
-numpy and, when a Tape is passed, appends a node holding the output,
-the input tensors, and a closure mapping the output adjoint to input
-adjoints. Because nodes are appended in execution order, walking the
-list backwards visits each node exactly once and is a valid reverse
+The tape knows no operations. Each layer records itself as one node:
+the CNN's conv -> ReLU -> dropout -> max-pool layer and its residual
+shortcut (``cnn._conv_layer``, ``cnn._shortcut``), the GRU
+(``gru.gru_forward``), the node scores (``crf.node_scores``) and the
+CRF's log Z, NLL and cost-sensitive loss (``crf.log_partition``,
+``crf.crf_nll``, ``crf.cost_sensitive_loss``). A layer computes its
+value with numpy and, when a Tape is passed, appends a node holding the
+output, the input tensors, and a closure mapping the output adjoint to
+input adjoints. Because nodes are appended in execution order, walking
+the list backwards visits each node exactly once and is a valid reverse
 topological order.
 
 Passing ``tape=None`` runs the same forward math without recording,
@@ -18,6 +18,7 @@ which is how inference-only paths avoid graph overhead.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -34,11 +35,11 @@ Array = np.ndarray
 class Tensor:
     """A dense, row-major array of 64-bit floats.
 
-    Tensors are immutable by convention once handed to an operation;
-    nothing in this module writes to ``data`` after construction.
+    Tensors are immutable by convention once handed to a layer; nothing
+    in this package writes to ``data`` after construction.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "__weakref__")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
@@ -63,204 +64,69 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive operations for one computation.
+    """Ordered record of the layers one computation ran.
 
     A tape is single-owner: record on it from one thread, call
-    ``backward`` once the scalar loss is known, then query ``grad``.
-    Gradients of tensors that never reached the loss are zero.
+    ``backward`` once the scalar loss is known, then query ``grad`` for
+    the tensors the computation started from. ``backward`` drops each
+    node, and each adjoint of a recorded output, as soon as it has used
+    them, so it runs once per tape. Gradients of tensors that never
+    reached the loss are zero.
     """
 
-    __slots__ = ("_nodes", "_grads")
+    __slots__ = ("_nodes", "_grads", "_produced")
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._grads: dict[int, Array] | None = None
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable] | None] = []
+        self._grads: dict[int, tuple[Tensor, Array]] | None = None
+        self._produced: dict[int, weakref.ref] = {}
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
         self._nodes.append((out, inputs, backward))
 
     def __len__(self) -> int:
+        """The number of nodes recorded, before and after ``backward``."""
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate adjoints of ``loss`` w.r.t. every recorded tensor."""
+        """Accumulate adjoints of ``loss`` w.r.t. every tensor the tape did
+        not produce; each is stored next to its tensor, which keeps the
+        tensor alive and its id() unique."""
+        if self._grads is not None:
+            raise ParameterError("backward() already ran on this tape")
         if loss.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not np.isfinite(loss.data).all():
             raise NumericError("backward called on a non-finite loss")
-        grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, bw in reversed(self._nodes):
-            g = grads.get(id(out))
-            if g is None:
+        grads = self._grads = {id(loss): (loss, np.ones_like(loss.data))}
+        nodes = self._nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            out, inputs, bw = nodes[i]
+            nodes[i] = None
+            self._produced[id(out)] = weakref.ref(out)
+            entry = grads.pop(id(out), None)
+            if entry is None:
                 continue
-            for t, gi in zip(inputs, bw(g)):
+            for t, gi in zip(inputs, bw(entry[1])):
                 if gi is None:
                     continue
                 prev = grads.get(id(t))
-                grads[id(t)] = gi if prev is None else prev + gi
-        self._grads = grads
+                grads[id(t)] = (t, gi if prev is None else prev[1] + gi)
 
     def grad(self, t: Tensor) -> Array:
-        """Adjoint of the loss w.r.t. ``t`` (zeros if ``t`` is off-path)."""
+        """Adjoint of the loss w.r.t. ``t`` (zeros if ``t`` is off-path).
+
+        A tensor the tape produced has no adjoint left to read.
+        """
         if self._grads is None:
             raise ParameterError("grad() requires a completed backward() pass")
-        g = self._grads.get(id(t))
-        return np.zeros(t.shape) if g is None else g
-
-
-# ---------------------------------------------------------------------------
-# elementwise and linear-algebra primitives
-# ---------------------------------------------------------------------------
-
-
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(a.data + b.data)
-    if tape is not None:
-        sa, sb = a.data.shape, b.data.shape
-        tape.record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-    return out
-
-
-def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(a.data * b.data)
-    if tape is not None:
-        da, db = a.data, b.data
-        tape.record(
-            out,
-            (a, b),
-            lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)),
-        )
-    return out
-
-
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    da, db = a.data, b.data
-    if da.ndim == 0 or db.ndim == 0 or da.ndim > 2 or db.ndim > 2:
-        raise DimensionError(f"matmul supports 1-D/2-D operands, got {da.shape} @ {db.shape}")
-    if da.shape[-1] != db.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {da.shape} @ {db.shape}")
-    out = Tensor(da @ db)
-    if tape is not None:
-        if da.ndim == 2 and db.ndim == 2:
-            bw = lambda g: (g @ db.T, da.T @ g)
-        elif da.ndim == 2 and db.ndim == 1:
-            bw = lambda g: (np.outer(g, db), da.T @ g)
-        elif da.ndim == 1 and db.ndim == 2:
-            bw = lambda g: (db @ g, np.outer(da, g))
-        else:  # vector dot product
-            bw = lambda g: (g * db, g * da)
-        tape.record(out, (a, b), bw)
-    return out
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """``w @ x + b`` for a vector x, or column-wise for a matrix x."""
-    dx, dw, db_ = x.data, w.data, b.data
-    if dw.ndim != 2 or db_.shape != (dw.shape[0],):
-        raise DimensionError(f"affine weights {dw.shape} / bias {db_.shape} inconsistent")
-    if dx.ndim == 1:
-        if dx.shape[0] != dw.shape[1]:
-            raise DimensionError(f"affine input {dx.shape} does not match weights {dw.shape}")
-        out = Tensor(dw @ dx + db_)
-        if tape is not None:
-            tape.record(out, (x, w, b), lambda g: (dw.T @ g, np.outer(g, dx), g))
-        return out
-    if dx.ndim == 2:
-        if dx.shape[0] != dw.shape[1]:
-            raise DimensionError(f"affine input {dx.shape} does not match weights {dw.shape}")
-        out = Tensor(dw @ dx + db_[:, None])
-        if tape is not None:
-            tape.record(out, (x, w, b), lambda g: (dw.T @ g, g @ dx.T, g.sum(axis=1)))
-        return out
-    raise DimensionError(f"affine input must be 1-D or 2-D, got {dx.shape}")
-
-
-def _sigmoid(v: Array) -> Array:
-    """``1/(1+exp(-v))`` for v >= 0 and ``exp(v)/(1+exp(v))`` below, so
-    exp never overflows; ``min(v, -v)`` keeps a NaN's sign."""
-    e = np.exp(np.minimum(v, -v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
-
-
-def reduce_sum(x: Tensor, axis: int | None = None, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.sum(x.data, axis=axis))
-    if tape is not None:
-        shape = x.data.shape
-
-        def bw(g):
-            if axis is None:
-                return (np.full(shape, g),)
-            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-        tape.record(out, (x,), bw)
-    return out
-
-
-def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got {x.shape}")
-    out = Tensor(x.data.T.copy())
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g.T,))
-    return out
-
-
-def take_cols(x: Tensor, indices, tape: Tape | None = None) -> Tensor:
-    """Select columns of a matrix by (unique) index array."""
-    if x.ndim != 2:
-        raise DimensionError(f"take_cols expects a matrix, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-        raise ParameterError("take_cols index out of range")
-    out = Tensor(x.data[:, idx])
-    if tape is not None:
-        shape = x.data.shape
-
-        def bw(g):
-            z = np.zeros(shape)
-            z[:, idx] = g
-            return (z,)
-
-        tape.record(out, (x,), bw)
-    return out
-
-
-def gather_pairs(x: Tensor, rows, cols, tape: Tape | None = None) -> Tensor:
-    """``x[rows[i], cols[i]]`` for each i; backward scatter-adds."""
-    r = np.asarray(rows, dtype=np.intp)
-    c = np.asarray(cols, dtype=np.intp)
-    if x.ndim != 2:
-        raise DimensionError(f"gather_pairs expects a matrix, got {x.shape}")
-    if r.shape != c.shape or r.ndim != 1:
-        raise ParameterError("gather_pairs index vectors must be 1-D and equal length")
-    n0, n1 = x.shape
-    if r.size and (r.min() < 0 or r.max() >= n0 or c.min() < 0 or c.max() >= n1):
-        raise ParameterError("gather_pairs index out of range")
-    out = Tensor(x.data[r, c])
-    if tape is not None:
-        shape = x.data.shape
-
-        def bw(g):
-            z = np.zeros(shape)
-            np.add.at(z, (r, c), g)
-            return (z,)
-
-        tape.record(out, (x,), bw)
-    return out
+        entry = self._grads.get(id(t))
+        if entry is not None:
+            return entry[1]
+        ref = self._produced.get(id(t))
+        if ref is not None and ref() is t:
+            raise ParameterError("grad() of a tensor the tape produced; backward() dropped it")
+        return np.zeros(t.shape)
 
 
 # ---------------------------------------------------------------------------

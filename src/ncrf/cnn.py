@@ -3,13 +3,13 @@
 Each layer is conv -> ReLU -> dropout -> optional max-pool, recorded as
 one tape node with a hand-written backward: the node keeps its output,
 bool ReLU and dropout masks and the pool argmax, and rebuilds its input
-windows only in the backward. Residual connections add a saved earlier
-activation to a later layer's output; when shapes differ the source is
-aligned in time by strided column selection and in channels by a
-learned projection applied as U^T X (initialized to the truncated
-identity). The product of all strides and pool windows must equal the
-samples-per-epoch, so a record of n samples always comes out as exactly
-m = n / (rate * epoch_seconds) feature vectors.
+windows only in the backward. A residual connection adds a saved earlier
+activation to a later layer's output, as one more node; when shapes
+differ the source is aligned in time by strided column selection and in
+channels by a learned projection applied as U^T X (initialized to the
+truncated identity). The product of all strides and pool windows must
+equal the samples-per-epoch, so a record of n samples always comes out
+as exactly m = n / (rate * epoch_seconds) feature vectors.
 
 Untaped inference on a long record runs the stack on whole-epoch chunks,
 each widened by a halo of whole epochs that covers the receptive field
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ModelParams, Tape, Tensor, add, matmul, take_cols, transpose
+from .autodiff import ModelParams, Tape, Tensor
 from .errors import ConfigurationError, DimensionError, ParameterError
 
 # Widest float64 activation one untaped inference pass may hold before the
@@ -193,17 +193,35 @@ def _layers(signal: Tensor, config: CnnConfig, params: ModelParams, training: bo
                         layer, training, rng, tape)
         if i in targets:
             src, j = targets[i]
-            shortcut = saved[src]
-            ratio = config.time_ratio(src, i)
-            if ratio != 1:
-                shortcut = take_cols(shortcut, np.arange(0, shortcut.shape[1], ratio), tape)
-            proj = params.get(f"cnn.res{j}.proj")
-            if proj is not None:
-                shortcut = matmul(transpose(proj, tape), shortcut, tape)
-            x = add(x, shortcut, tape)
+            x = _shortcut(x, saved[src], params.get(f"cnn.res{j}.proj"),
+                          config.time_ratio(src, i), tape)
         if i in sources:
             saved[i] = x
     return x
+
+
+def _shortcut(x: Tensor, saved: Tensor, proj: Tensor | None, ratio: int,
+              tape: Tape | None = None) -> Tensor:
+    """One residual connection as one node: ``x + proj.T @ saved[:, ::ratio]``,
+    or ``x + saved[:, ::ratio]`` with no projection. The strided columns
+    and proj.T are contiguous copies, so the product keeps its bits."""
+    ds = saved.data
+    idx = np.arange(0, ds.shape[1], ratio) if ratio != 1 else None
+    cols = ds if idx is None else ds[:, idx]
+    proj_t = proj.data.T.copy() if proj is not None else None
+    out = Tensor(x.data + (cols if proj_t is None else proj_t @ cols))
+    if tape is None:
+        return out
+
+    def bw(g):
+        g_saved = g if proj_t is None else proj_t.T @ g
+        if idx is not None:
+            g_cols, g_saved = g_saved, np.zeros(ds.shape)
+            g_saved[:, idx] = g_cols
+        return (g, g_saved) if proj_t is None else (g, g_saved, (g @ cols.T).T)
+
+    tape.record(out, (x, saved) if proj is None else (x, saved, proj), bw)
+    return out
 
 
 def _same_geometry(t_in: int, width: int, stride: int) -> tuple[int, int, int]:

@@ -9,9 +9,9 @@ is a sum of per-position log-sum-exps, marginals are row softmaxes and
 Viterbi is a per-position argmax. A second-order chain is a
 first-order chain over label pairs. So one log-space forward-backward
 gives the partition function and marginals and one max-plus Viterbi
-decodes. On a tape, log Z, the NLL and the cost-sensitive loss are one
-node each with hand-written backward passes. Potentials must be
-finite; -inf is not a way to forbid a move.
+decodes. On a tape, the node scores, log Z, the NLL and the
+cost-sensitive loss are one node each with hand-written backward
+passes. Potentials must be finite; -inf is not a way to forbid a move.
 
 The ``brute_force_*`` functions enumerate all K^m sequences and exist
 purely as independent oracles for the dynamic programs.
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import ModelParams, Tape, Tensor, affine, transpose
+from .autodiff import ModelParams, Tape, Tensor
 from .errors import (
     DimensionError,
     EmptySequenceError,
@@ -104,8 +104,13 @@ def crf_init(hidden_dim: int, num_labels: int = 4, order: int = 1,
 def node_scores(hidden: Tensor, params: ModelParams, tape: Tape | None = None) -> Tensor:
     """S[t, k] = w[k] . h_t + b[k] for hidden states laid out [dim, m], where
     (w, b) is (crf.w_n, crf.b_n), or (head.W_o, head.b) for order 0."""
-    w, b = ("head.W_o", "head.b") if "head.W_o" in params else ("crf.w_n", "crf.b_n")
-    return transpose(affine(hidden, params[w], params[b], tape), tape)
+    wn, bn = ("head.W_o", "head.b") if "head.W_o" in params else ("crf.w_n", "crf.b_n")
+    w, b, h = params[wn].data, params[bn].data, hidden.data
+    out = Tensor((w @ h + b[:, None]).T.copy())
+    if tape is not None:
+        tape.record(out, (hidden, params[wn], params[bn]),
+                    lambda g: (w.T @ g.T, g.T @ h.T, g.T.sum(axis=1)))
+    return out
 
 
 def potentials_from_hidden(hidden: Tensor, params: ModelParams,

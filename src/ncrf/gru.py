@@ -7,20 +7,27 @@ differ only by the inner argument scale). Either way the hidden state
 is a convex combination of the previous state and a value in (-1, 1),
 so with a zero initial state every coordinate stays inside (-1, 1).
 
-On a tape the layer is four nodes: the three input projections
-(``affine``) and one node for the whole recurrence, whose backward is
-hand-written backpropagation through time. That backward repeats the
-arithmetic, and the order of accumulation, of the same cell spelled
-out step by step in tape primitives, so its gradients equal theirs bit
-for bit.
+On a tape the layer is one node, input projections included, whose
+backward is hand-written backpropagation through time. That backward
+repeats the arithmetic, and the order of accumulation, of the same cell
+spelled out step by step in generic tape operations, so its gradients
+equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ModelParams, Tape, Tensor, _sigmoid, affine
+from .autodiff import ModelParams, Tape, Tensor
 from .errors import DimensionError, EmptySequenceError
+
+
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """``1/(1+exp(-v))`` for v >= 0 and ``exp(v)/(1+exp(v))`` below, so
+    exp never overflows; ``min(v, -v)`` keeps a NaN's sign."""
+    e = np.exp(np.minimum(v, -v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def gru_init(feature_dim: int, hidden_dim: int, rng: np.random.Generator) -> ModelParams:
@@ -48,14 +55,13 @@ def gru_forward(
     m = features.shape[1]
     if m == 0:
         raise EmptySequenceError("GRU input has zero time steps")
-    U_z, U_r, U_h = params["gru.U_z"], params["gru.U_r"], params["gru.U_h"]
+    inputs = tuple(params[f"gru.{name}"] for name in
+                   ("W_z", "b_z", "W_r", "b_r", "W_h", "b_h", "U_z", "U_r", "U_h"))
+    f = features.data
+    wz, bz, wr, br, wh, bh, uz, ur, uh = (t.data for t in inputs)
 
     # gate input projections for every step at once
-    in_z = affine(features, params["gru.W_z"], params["gru.b_z"], tape)
-    in_r = affine(features, params["gru.W_r"], params["gru.b_r"], tape)
-    in_h = affine(features, params["gru.W_h"], params["gru.b_h"], tape)
-    xz, xr, xh = in_z.data, in_r.data, in_h.data
-    uz, ur, uh = U_z.data, U_r.data, U_h.data
+    xz, xr, xh = wz @ f + bz[:, None], wr @ f + br[:, None], wh @ f + bh[:, None]
 
     # h stays a contiguous vector, never a strided view: the BLAS matvec
     # path, and so its bits, depend on the layout
@@ -112,7 +118,11 @@ def gru_forward(
                     dh = g[:, t - 1] + dh * u + uh.T @ g_mh + ur.T @ g_ar + uz.T @ g_az
             if m > 1:
                 gz, gr, gh = gz + 0.0, gr + 0.0, gh + 0.0
-            return gz, gr, gh, gU[:n], gU[n : 2 * n], gU[2 * n :]
+            # the input projections' adjoints; the features' sums h, r, z in
+            # the order the composed tape's reversed walk adds them
+            g_f = wh.T @ gh + wr.T @ gr + wz.T @ gz
+            return (g_f, gz @ f.T, gz.sum(axis=1), gr @ f.T, gr.sum(axis=1), gh @ f.T,
+                    gh.sum(axis=1), gU[:n], gU[n : 2 * n], gU[2 * n :])
 
-        tape.record(out, (in_z, in_r, in_h, U_z, U_r, U_h), bw)
+        tape.record(out, (features,) + inputs, bw)
     return out

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, gather_pairs, reduce_sum
+from .autodiff import Tape, Tensor
 from .crf import CrfPotentials, potentials_from_hidden, viterbi
 from .data import Record, SleepStage, STAGE_TOKENS
 from .errors import ParameterError
@@ -54,7 +54,15 @@ def saliency_map(
     hidden = hidden_states(config, checkpoint.params, signal, training=False, tape=tape)
     potentials = potentials_from_hidden(hidden, checkpoint.params, tape)
     label = _resolve_target(target, potentials, epoch_index)
-    score = reduce_sum(gather_pairs(potentials.scores, [epoch_index], [label], tape), tape=tape)
+    scores = potentials.scores
+    score = Tensor(scores.data[epoch_index, label])
+
+    def pick(g):
+        g_scores = np.zeros(scores.shape)
+        g_scores[epoch_index, label] = g
+        return (g_scores,)
+
+    tape.record(score, (scores,), pick)
     tape.backward(score)
     grad = tape.grad(signal)[0]
     spe = record.samples_per_epoch

@@ -1,14 +1,17 @@
-"""Tape primitives and data generators that the package no longer runs,
+"""Tape operations and data generators that the package no longer runs,
 kept for the tests.
 
-The model records each CNN layer, its GRU recurrence and its CRF losses
-as fused nodes, so these operations have no caller under ``src/``. Tests
-still compose them: criterion 2's primitive batteries, the composed
-conv -> ReLU -> dropout -> max-pool reference in ``test_cnn.py``, the
-step-by-step GRU reference in ``test_gru.py`` and the composed NLL
-reference in ``test_crf.py``. Each follows the ``ncrf.autodiff``
-convention: compute with numpy and, when a Tape is passed, record one
-node.
+The model records each of its layers as one fused node: every CNN
+layer, the residual shortcut, the GRU with its input projections, the
+node scores and the CRF losses. So these generic operations have no
+caller under ``src/``. Tests compose them into references that the
+fused nodes must match byte for byte: the conv -> ReLU -> dropout ->
+max-pool layer and the take/transpose/matmul/add shortcut in
+``test_cnn.py``, the step-by-step GRU in ``test_gru.py``, the
+affine/transpose node scores and the gather/sum NLL in ``test_crf.py``
+and the gather/sum saliency pick in ``test_saliency.py``. Criterion 2
+checks each operation's own gradient against finite differences. Each
+computes with numpy and, when a Tape is passed, records one node.
 
 ``sample_chain_per_step`` and ``synth_generate_per_epoch`` are the
 synthetic corpus generator as it was written first, one chain step and
@@ -20,11 +23,154 @@ from __future__ import annotations
 
 import numpy as np
 
-from ncrf.autodiff import Tape, Tensor, _sigmoid, _unbroadcast
+from ncrf.autodiff import Tape, Tensor
 from ncrf.cnn import _CONV_CHUNK
 from ncrf.data import _PHASE, Record, SleepStage, SynthConfig
 from ncrf.errors import DimensionError, ParameterError
+from ncrf.gru import _sigmoid
 from ncrf.rng import SplitRng
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reduce a broadcast gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    out = Tensor(a.data + b.data)
+    if tape is not None:
+        sa, sb = a.data.shape, b.data.shape
+        tape.record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return out
+
+
+def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    out = Tensor(a.data * b.data)
+    if tape is not None:
+        da, db = a.data, b.data
+        tape.record(
+            out,
+            (a, b),
+            lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)),
+        )
+    return out
+
+
+def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    da, db = a.data, b.data
+    if da.ndim == 0 or db.ndim == 0 or da.ndim > 2 or db.ndim > 2:
+        raise DimensionError(f"matmul supports 1-D/2-D operands, got {da.shape} @ {db.shape}")
+    if da.shape[-1] != db.shape[0]:
+        raise DimensionError(f"matmul inner dims differ: {da.shape} @ {db.shape}")
+    out = Tensor(da @ db)
+    if tape is not None:
+        if da.ndim == 2 and db.ndim == 2:
+            bw = lambda g: (g @ db.T, da.T @ g)
+        elif da.ndim == 2 and db.ndim == 1:
+            bw = lambda g: (np.outer(g, db), da.T @ g)
+        elif da.ndim == 1 and db.ndim == 2:
+            bw = lambda g: (db @ g, np.outer(da, g))
+        else:  # vector dot product
+            bw = lambda g: (g * db, g * da)
+        tape.record(out, (a, b), bw)
+    return out
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    """``w @ x + b`` for a vector x, or column-wise for a matrix x."""
+    dx, dw, db_ = x.data, w.data, b.data
+    if dw.ndim != 2 or db_.shape != (dw.shape[0],):
+        raise DimensionError(f"affine weights {dw.shape} / bias {db_.shape} inconsistent")
+    if dx.ndim == 1:
+        if dx.shape[0] != dw.shape[1]:
+            raise DimensionError(f"affine input {dx.shape} does not match weights {dw.shape}")
+        out = Tensor(dw @ dx + db_)
+        if tape is not None:
+            tape.record(out, (x, w, b), lambda g: (dw.T @ g, np.outer(g, dx), g))
+        return out
+    if dx.ndim == 2:
+        if dx.shape[0] != dw.shape[1]:
+            raise DimensionError(f"affine input {dx.shape} does not match weights {dw.shape}")
+        out = Tensor(dw @ dx + db_[:, None])
+        if tape is not None:
+            tape.record(out, (x, w, b), lambda g: (dw.T @ g, g @ dx.T, g.sum(axis=1)))
+        return out
+    raise DimensionError(f"affine input must be 1-D or 2-D, got {dx.shape}")
+
+
+def reduce_sum(x: Tensor, axis: int | None = None, tape: Tape | None = None) -> Tensor:
+    out = Tensor(np.sum(x.data, axis=axis))
+    if tape is not None:
+        shape = x.data.shape
+
+        def bw(g):
+            if axis is None:
+                return (np.full(shape, g),)
+            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+
+        tape.record(out, (x,), bw)
+    return out
+
+
+def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:
+    if x.ndim != 2:
+        raise DimensionError(f"transpose expects a matrix, got {x.shape}")
+    out = Tensor(x.data.T.copy())
+    if tape is not None:
+        tape.record(out, (x,), lambda g: (g.T,))
+    return out
+
+
+def take_cols(x: Tensor, indices, tape: Tape | None = None) -> Tensor:
+    """Select columns of a matrix by (unique) index array."""
+    if x.ndim != 2:
+        raise DimensionError(f"take_cols expects a matrix, got {x.shape}")
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
+        raise ParameterError("take_cols index out of range")
+    out = Tensor(x.data[:, idx])
+    if tape is not None:
+        shape = x.data.shape
+
+        def bw(g):
+            z = np.zeros(shape)
+            z[:, idx] = g
+            return (z,)
+
+        tape.record(out, (x,), bw)
+    return out
+
+
+def gather_pairs(x: Tensor, rows, cols, tape: Tape | None = None) -> Tensor:
+    """``x[rows[i], cols[i]]`` for each i; backward scatter-adds."""
+    r = np.asarray(rows, dtype=np.intp)
+    c = np.asarray(cols, dtype=np.intp)
+    if x.ndim != 2:
+        raise DimensionError(f"gather_pairs expects a matrix, got {x.shape}")
+    if r.shape != c.shape or r.ndim != 1:
+        raise ParameterError("gather_pairs index vectors must be 1-D and equal length")
+    n0, n1 = x.shape
+    if r.size and (r.min() < 0 or r.max() >= n0 or c.min() < 0 or c.max() >= n1):
+        raise ParameterError("gather_pairs index out of range")
+    out = Tensor(x.data[r, c])
+    if tape is not None:
+        shape = x.data.shape
+
+        def bw(g):
+            z = np.zeros(shape)
+            np.add.at(z, (r, c), g)
+            return (z,)
+
+        tape.record(out, (x,), bw)
+    return out
 
 
 def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:

@@ -12,20 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncrf.autodiff import (
-    ModelParams,
-    Tape,
-    Tensor,
-    add,
-    affine,
-    gather_pairs,
-    grad_check,
-    matmul,
-    mul,
-    reduce_sum,
-    take_cols,
-    transpose,
-)
+from ncrf.autodiff import ModelParams, Tape, Tensor, grad_check
 from ncrf.cli import gradcheck_battery
 from ncrf.cnn import ConvLayerSpec, _conv_layer, cnn_forward, cnn_init, paper_cnn_config
 from ncrf.crf import (
@@ -44,15 +31,23 @@ from ncrf.metrics import kappa, kappa_from_confusion, se_mae, sleep_efficiency
 from ncrf.model import evaluate, hidden_states
 from ncrf.training import TrainConfig, train
 from primitives import (
+    add,
+    affine,
     conv1d,
     dropout,
     exp,
+    gather_pairs,
     logsumexp,
+    matmul,
     maxpool1d,
+    mul,
+    reduce_sum,
     relu,
     reshape,
     sigmoid,
+    take_cols,
     tanh,
+    transpose,
 )
 
 K = 4

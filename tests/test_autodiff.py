@@ -1,4 +1,6 @@
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,32 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncrf.autodiff
-from ncrf.autodiff import (
-    ModelParams,
-    Tape,
-    Tensor,
-    add,
-    affine,
-    gather_pairs,
-    grad_check,
-    matmul,
-    mul,
-    reduce_sum,
-    take_cols,
-    transpose,
-)
+from ncrf.autodiff import ModelParams, Tape, Tensor, grad_check
 from ncrf.errors import DimensionError, NumericError, ParameterError
 from primitives import (
     _conv_geometry,
+    add,
+    affine,
     conv1d,
     dropout,
     exp,
+    gather_pairs,
     logsumexp,
+    matmul,
     maxpool1d,
+    mul,
+    reduce_sum,
     relu,
     reshape,
     scale,
     sigmoid,
+    take_cols,
+    transpose,
 )
 
 
@@ -297,6 +294,59 @@ def test_off_path_tensor_has_zero_grad():
     x, z = Tensor([1.0]), Tensor([2.0])
     tape.backward(reduce_sum(scale(x, 2.0, tape), tape=tape))
     np.testing.assert_array_equal(tape.grad(z), [0.0])
+
+
+def test_backward_drops_each_adjoint_once_its_node_has_run():
+    # x -> a -> b -> loss, one node each: when a's closure runs, the adjoint
+    # of b, which b's closure read, must already be dead
+    tape = Tape()
+    refs, alive = [], []
+
+    def node(inp, fn):
+        out = Tensor(fn(inp.data))
+
+        def bw(g):
+            alive.append([r() is not None for r in refs])
+            gi = np.full(inp.shape, 2.0) * g
+            refs.append(weakref.ref(gi))
+            return (gi,)
+
+        tape.record(out, (inp,), bw)
+        return out
+
+    x = Tensor(np.ones(3))
+    b = node(node(x, lambda v: 2.0 * v), lambda v: 2.0 * v)
+    tape.backward(node(b, np.sum))
+    # the loss's closure, then b's (its g is b's adjoint), then a's
+    assert alive == [[], [True], [False, True]]
+    np.testing.assert_array_equal(tape.grad(x), [8.0, 8.0, 8.0])
+    assert refs[2]() is tape.grad(x)
+
+
+def test_second_backward_raises_and_len_keeps_counting_nodes():
+    x = Tensor([1.0, 2.0])
+    tape = Tape()
+    loss = reduce_sum(mul(x, x, tape), tape=tape)
+    tape.backward(loss)
+    assert len(tape) == 2
+    with pytest.raises(ParameterError):
+        tape.backward(loss)
+    np.testing.assert_array_equal(tape.grad(x), [2.0, 4.0])
+
+
+def test_grad_of_a_produced_tensor_raises_without_keeping_it_alive():
+    x = Tensor([1.0, 2.0])
+    tape = Tape()
+    y = mul(x, x, tape)
+    loss = reduce_sum(y, tape=tape)
+    tape.backward(loss)
+    for t in (y, loss):
+        with pytest.raises(ParameterError):
+            tape.grad(t)
+    ref = weakref.ref(y)
+    del y, t
+    gc.collect()
+    assert ref() is None
 
 
 def test_broadcast_add_gradients_reduce_correctly():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrf import cnn
-from ncrf.autodiff import Tape, Tensor, grad_check, mul, reduce_sum, take_cols
+from ncrf.autodiff import Tape, Tensor, grad_check
 from ncrf.cnn import (
     CnnConfig,
     ConvLayerSpec,
@@ -22,7 +22,18 @@ from ncrf.errors import ConfigurationError, ParameterError
 from ncrf.model import ModelConfig, decode_record, desk_config, init_params, paper_config, record_loss
 from ncrf.rng import SplitRng
 import primitives
-from primitives import conv1d, dropout, maxpool1d, relu
+from primitives import (
+    add,
+    conv1d,
+    dropout,
+    matmul,
+    maxpool1d,
+    mul,
+    reduce_sum,
+    relu,
+    take_cols,
+    transpose,
+)
 
 
 def tiny_config(**kwargs):
@@ -329,15 +340,87 @@ def test_taped_step_peak_is_at_most_half_the_composed_layers(monkeypatch):
     assert 2 * fused <= composed, (fused, composed)
 
 
-def test_desk_crf_record_tape_is_fourteen_nodes():
-    # one node per CNN layer, take_cols / transpose / matmul / add for the
-    # shortcut, four GRU nodes and three CRF nodes
+def test_desk_crf_record_tape_is_seven_nodes():
+    # one node per CNN layer, one for the shortcut, one for the GRU, one for
+    # the node scores and one for the CRF loss
     config = desk_config("crf")
     params = init_params(config, 4)
     tape = Tape()
     record_loss(config, params, _random_record(config, 120, seed=5), training=True,
                 rng=np.random.default_rng(6), tape=tape)
-    assert len(tape) == 14
+    assert len(tape) == 7
+
+
+# ---------------------------------------------------------------------------
+# the fused shortcut against the composed primitives
+# ---------------------------------------------------------------------------
+
+
+def composed_shortcut(x, saved, proj, ratio, tape=None):
+    """take_cols -> transpose -> matmul -> add: the nodes the fused
+    shortcut replaces, which it must match bit for bit."""
+    if ratio != 1:
+        saved = take_cols(saved, np.arange(0, saved.shape[1], ratio), tape)
+    if proj is not None:
+        saved = matmul(transpose(proj, tape), saved, tape)
+    return add(x, saved, tape)
+
+
+@st.composite
+def shortcut_configs(draw):
+    """A CnnConfig with one residual pair whose shortcut has a projection
+    and a time ratio above 1, a projection at ratio 1 (a channel change),
+    or no projection."""
+    case = draw(st.sampled_from(["strided", "channels", "identity"]))
+    n = draw(st.integers(2, 4))
+    src = draw(st.integers(0, n - 2))
+    tgt = draw(st.integers(src + 1, n - 1))
+    c_src = draw(st.integers(1, 4))
+    layers = []
+    for i in range(n):
+        inside = src < i <= tgt  # the layers the shortcut skips
+        stride = draw(st.integers(1, 2)) if case == "strided" or not inside else 1
+        window = draw(st.integers(1, 2)) if case == "strided" or not inside else 1
+        if case == "strided" and i == tgt:
+            stride = 2
+        channels = c_src if i == src else draw(st.integers(1, 4))
+        if i == tgt and case == "identity":
+            channels = c_src
+        elif i == tgt and case == "channels":
+            channels = c_src + draw(st.integers(1, 3))
+        layers.append(ConvLayerSpec(draw(st.integers(1, 5)), stride, channels, window))
+    return case, CnnConfig(layers=tuple(layers), residual_pairs=((src, tgt),))
+
+
+def _shortcut_run(fn, x, saved, proj, ratio, weights):
+    """The output and the x, saved and proj adjoints of sum(output * weights)."""
+    tape = Tape()
+    out = fn(x, saved, proj, ratio, tape)
+    tape.backward(reduce_sum(mul(out, Tensor(weights), tape), tape=tape))
+    return [out.data] + [tape.grad(t) for t in (x, saved, proj) if t is not None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=shortcut_configs(), t_out=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_fused_shortcut_equals_composed_bytes(drawn, t_out, seed):
+    case, config = drawn
+    (src, tgt), = config.residual_pairs
+    ratio = config.time_ratio(src, tgt)
+    assert config.needs_projection(src, tgt) == (case != "identity")
+    assert (ratio > 1) == (case == "strided")
+    rng = np.random.default_rng(seed)
+    proj = cnn_init(config, rng).get("cnn.res0.proj")
+    if proj is not None:  # off the truncated identity, so the product is not trivial
+        proj = Tensor(proj.data + rng.normal(size=proj.shape))
+    x = Tensor(rng.normal(size=(config.channels_of(tgt), t_out)))
+    saved = Tensor(rng.normal(size=(config.channels_of(src), t_out * ratio)))
+    weights = rng.normal(size=x.shape)
+    weights[:, ::2] = -0.0  # a signed-zero upstream adjoint in every other column
+    untaped = cnn._shortcut(x, saved, proj, ratio)
+    fused = _shortcut_run(cnn._shortcut, x, saved, proj, ratio, weights)
+    composed = _shortcut_run(composed_shortcut, x, saved, proj, ratio, weights)
+    assert untaped.data.tobytes() == composed[0].tobytes()
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in composed]
 
 
 # ---------------------------------------------------------------------------

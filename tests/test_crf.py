@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrf.autodiff import ModelParams, Tape, Tensor, add, gather_pairs, grad_check, mul, reduce_sum
+from ncrf.autodiff import ModelParams, Tape, Tensor, grad_check
 from ncrf.crf import (
     CrfPotentials,
     _enumerate_scores,
@@ -22,7 +22,16 @@ from ncrf.crf import (
     viterbi,
 )
 from ncrf.errors import GuardError, NumericError, ParameterError
-from primitives import scale, sub
+from primitives import (
+    add,
+    affine,
+    gather_pairs,
+    mul,
+    reduce_sum,
+    scale,
+    sub,
+    transpose,
+)
 
 K = 4
 
@@ -83,6 +92,27 @@ def test_node_scores_linear_in_hidden():
     s1 = node_scores(Tensor(h), params).data
     s2 = node_scores(Tensor(2 * h), params).data
     np.testing.assert_allclose(s2, 2 * s1, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_node_scores_equal_composed_affine_transpose_bytes(order):
+    # the fused node against affine then transpose: the scores and the
+    # hidden, weight and bias adjoints, under an upstream with signed zeros
+    rng = np.random.default_rng(30 + order)
+    params = crf_init(6, K, order, rng)
+    w, b = (params[n] for n in (("head.W_o", "head.b") if order == 0 else ("crf.w_n", "crf.b_n")))
+    b.data[:] = rng.normal(size=K)
+    for m in (1, 2, 9):
+        hidden = Tensor(rng.normal(size=(6, m)))
+        upstream = rng.normal(size=(m, K))
+        upstream[::2, 1] = -0.0
+        runs = []
+        for scores_fn in (node_scores, lambda h, p, tape: transpose(affine(h, w, b, tape), tape)):
+            tape = Tape()
+            s = scores_fn(hidden, params, tape)
+            tape.backward(reduce_sum(mul(s, Tensor(upstream), tape), tape=tape))
+            runs.append([s.data.tobytes()] + [tape.grad(t).tobytes() for t in (hidden, w, b)])
+        assert runs[0] == runs[1], m
 
 
 def test_sequence_score_all_zero_potentials():

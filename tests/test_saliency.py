@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from ncrf.autodiff import Tape, Tensor
 from ncrf.cnn import input_span
+from ncrf.crf import node_scores
 from ncrf.data import SynthConfig, synth_generate
 from ncrf.errors import ParameterError
-from ncrf.model import desk_config, init_params
+from ncrf.model import desk_config, hidden_states, init_params
 from ncrf.saliency import export_saliency, saliency_map
 from ncrf.training import Checkpoint
+from primitives import gather_pairs, reduce_sum
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +65,8 @@ def test_zero_gradient_strictly_after_receptive_field(record):
     ckpt = make_checkpoint(dropout_rate=0.0)
     config = ckpt.model_config
     t = 4
-    # gradient of epoch t's score w.r.t. the whole signal
-    from ncrf.autodiff import Tape, Tensor, gather_pairs, reduce_sum
-    from ncrf.crf import node_scores
-    from ncrf.model import hidden_states
-
+    # gradient of epoch t's score w.r.t. the whole signal, the score picked
+    # by the composed gather and sum
     tape = Tape()
     signal = Tensor(record.signal.reshape(1, -1))
     hidden = hidden_states(config, ckpt.params, signal, tape=tape)
@@ -77,6 +77,12 @@ def test_zero_gradient_strictly_after_receptive_field(record):
     _, hi = input_span(config.cnn, record.num_samples, t)
     assert np.abs(grad[hi + 1 :]).max() == 0.0
     assert np.abs(grad[: hi + 1]).max() > 0.0
+    # saliency_map's one-node pick gives the same weights, bit for bit
+    spe = record.samples_per_epoch
+    weights = np.abs(grad[t * spe : (t + 1) * spe])
+    assert weights.max() > 0.0
+    weights = weights / weights.max()
+    assert saliency_map(ckpt, record, t, target=1).tobytes() == weights.tobytes()
 
 
 def test_perturbation_outside_receptive_field_leaves_map_unchanged(record):
