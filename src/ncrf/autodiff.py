@@ -12,6 +12,12 @@ input adjoints. Because nodes are appended in execution order, walking
 the list backwards visits each node exactly once and is a valid reverse
 topological order.
 
+Ownership during the backward walk: the tape keeps leaves (tensors no
+node produced, such as parameters and the signal) as tensors, and the
+tensors it produced only by id, so an activation lives only as long as
+its caller or a closure holds it. A closure may release what it captured
+at its last use, which frees that activation mid-walk.
+
 Passing ``tape=None`` runs the same forward math without recording,
 which is how inference-only paths avoid graph overhead.
 """
@@ -68,17 +74,18 @@ class Tape:
 
     A tape is single-owner: record on it from one thread, call
     ``backward`` once the scalar loss is known, then query ``grad`` for
-    the tensors the computation started from. ``backward`` drops each
-    node, and each adjoint of a recorded output, as soon as it has used
-    them, so it runs once per tape. Gradients of tensors that never
-    reached the loss are zero.
+    the tensors the computation started from. ``backward`` first turns
+    every output and produced input into its id, keeping only leaves as
+    tensors, then drops each node, and each adjoint of a recorded output,
+    as soon as it has used them, so it runs once per tape. Gradients of
+    tensors that never reached the loss are zero.
     """
 
     __slots__ = ("_nodes", "_grads", "_produced")
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable] | None] = []
-        self._grads: dict[int, tuple[Tensor, Array]] | None = None
+        self._nodes: list[tuple | None] = []
+        self._grads: dict[int, tuple[Tensor | None, Array]] | None = None
         self._produced: dict[int, weakref.ref] = {}
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
@@ -90,28 +97,38 @@ class Tape:
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate adjoints of ``loss`` w.r.t. every tensor the tape did
-        not produce; each is stored next to its tensor, which keeps the
-        tensor alive and its id() unique."""
+        not produce. Every output is alive when the walk starts, so ids are
+        unique then; from there the tape keeps produced tensors by id, and
+        each leaf next to its adjoint, which keeps the leaf's id unique."""
         if self._grads is not None:
             raise ParameterError("backward() already ran on this tape")
         if loss.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not np.isfinite(loss.data).all():
             raise NumericError("backward called on a non-finite loss")
-        grads = self._grads = {id(loss): (loss, np.ones_like(loss.data))}
-        nodes = self._nodes
+        produced = self._produced
+        produced.update((id(n[0]), weakref.ref(n[0])) for n in self._nodes)
+        self._nodes = nodes = [
+            (id(out), tuple((id(t), None if id(t) in produced else t) for t in inputs), bw)
+            for out, inputs, bw in self._nodes
+        ]
+        key = id(loss)
+        self._grads = {key: (None if key in produced else loss, np.ones_like(loss.data))}
         for i in range(len(nodes) - 1, -1, -1):
-            out, inputs, bw = nodes[i]
+            key, inputs, bw = nodes[i]
             nodes[i] = None
-            self._produced[id(out)] = weakref.ref(out)
-            entry = grads.pop(id(out), None)
-            if entry is None:
-                continue
-            for t, gi in zip(inputs, bw(entry[1])):
-                if gi is None:
-                    continue
-                prev = grads.get(id(t))
-                grads[id(t)] = (t, gi if prev is None else prev[1] + gi)
+            if key in self._grads:
+                self._accumulate(inputs, bw(self._grads.pop(key)[1]))
+
+    def _accumulate(self, inputs: tuple[tuple[int, Tensor | None], ...], adjoints) -> None:
+        """Add one closure's input adjoints into the store, by input id.
+
+        A method of its own so that no adjoint outlives it in a local of
+        the walk while the next closure runs."""
+        grads = self._grads
+        for (key, t), gi in zip(inputs, adjoints):
+            if gi is not None:
+                grads[key] = (t, grads[key][1] + gi) if key in grads else (t, gi)
 
     def grad(self, t: Tensor) -> Array:
         """Adjoint of the loss w.r.t. ``t`` (zeros if ``t`` is off-path).

@@ -1,9 +1,10 @@
 """Residual 1-D convolutional feature extractor.
 
 Each layer is conv -> ReLU -> dropout -> optional max-pool, recorded as
-one tape node with a hand-written backward: the node keeps its output,
-bool ReLU and dropout masks and the pool argmax, and rebuilds its input
-windows only in the backward. A residual connection adds a saved earlier
+one tape node with a hand-written backward: the node keeps one bool mask
+of the units that ReLU and dropout kept and the pool argmax, rebuilds its
+input windows only in the backward, and lets go of its input once the
+kernel gradient is done. A residual connection adds a saved earlier
 activation to a later layer's output, as one more node; when shapes
 differ the source is aligned in time by strided column selection and in
 channels by a learned projection applied as U^T X (initialized to the
@@ -256,8 +257,11 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
     """One layer as one node: 'same' strided conv of a [C_in, T] input with
     [C_out, C_in, W] kernels, ReLU, inverted dropout (training only) and
     non-overlapping max-pool, whose ties route the gradient to the first
-    index. Untaped calls allocate no ReLU mask or argmax and apply the
-    ReLU and dropout in place."""
+    index. Dropout draws its uniforms in row blocks of at most _CONV_CHUNK
+    elements, the same stream as one whole-array draw. A taped call keeps
+    one bool mask, ``y > 0`` after dropout, which is the ReLU mask and the
+    keep mask together; untaped calls allocate no mask or argmax. The ReLU
+    and dropout run in place."""
     dx, dk = x.data, kernels.data
     c_in, t_in = dx.shape
     c_out, _, width = dk.shape
@@ -269,15 +273,19 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
         y[:, t0 : t0 + len(cols)] = kmat @ cols.T
         del cols
     y += bias.data[:, None]
-    relu_mask = y > 0.0 if tape is not None else None
     np.maximum(y, 0.0, out=y)
-    keep_mask, scale = None, 1.0 / (1.0 - rate)
-    if training and rate > 0.0:
+    dropped, scale = training and rate > 0.0, 1.0 / (1.0 - rate)
+    if dropped:
         if rng is None:
             raise ParameterError("training-mode dropout needs a seeded generator")
-        keep_mask = rng.random(y.shape) >= rate
-        y *= keep_mask  # then scale: the same bits as y * (keep_mask / keep)
-        y *= scale
+        # uniforms in row blocks: the same stream as one rng.random(y.shape)
+        rows = max(1, _CONV_CHUNK // t_conv)
+        for r0 in range(0, c_out, rows):
+            blk = y[r0 : r0 + rows]
+            blk *= rng.random(blk.shape) >= rate  # then scale: the bits of y * (keep / (1 - rate))
+            blk *= scale
+    # ReLU and dropout keep exactly the units that are still positive
+    mask = y > 0.0 if tape is not None else None
     t_out = t_conv // window
     if window > 1 and tape is None:  # a running maximum over strided columns
         pooled = y[:, : t_out * window : window].copy()
@@ -293,19 +301,21 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
         return out
 
     def bw(g):
+        nonlocal dx
         if window > 1:
             gy = np.zeros((c_out, t_conv))
             np.put_along_axis(gy, arg + np.arange(0, t_out * window, window), g, axis=1)
+            gy *= mask
         else:
-            gy = np.array(g)
-        if keep_mask is not None:
-            gy *= keep_mask
+            gy = np.multiply(g, mask)
+        del g  # the walk hands over the adjoint; gy replaces it
+        if dropped:
             gy *= scale
-        gy *= relu_mask
         gk = np.zeros((c_out, c_in * width))
         for t0, cols in _im2col(dx, width, stride, pad_l, t_conv):
             gk += gy[:, t0 : t0 + len(cols)] @ cols
             del cols
+        dx = None  # last use: a produced input, which the tape keeps by id only, is freed
         # rows of kmat.T @ gy in blocks of whole input channels, at most
         # _CONV_CHUNK elements each, scattered tap by tap into the padded input
         gxp = np.zeros((c_in, pad_l + t_in + pad_r))

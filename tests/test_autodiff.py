@@ -334,6 +334,43 @@ def test_second_backward_raises_and_len_keeps_counting_nodes():
     np.testing.assert_array_equal(tape.grad(x), [2.0, 4.0])
 
 
+def test_backward_on_a_tape_with_no_nodes_reads_the_leaf_loss():
+    loss = Tensor(3.0)
+    tape = Tape()
+    tape.backward(loss)
+    assert len(tape) == 0
+    np.testing.assert_array_equal(tape.grad(loss), 1.0)
+    np.testing.assert_array_equal(tape.grad(Tensor([1.0, 2.0])), [0.0, 0.0])
+
+
+def test_an_intermediate_consumed_by_two_nodes_sums_both_adjoints():
+    x = Tensor([1.0, -2.0])
+    tape = Tape()
+    a = scale(x, 3.0, tape)  # produced, then read by mul and by add
+    loss = reduce_sum(add(mul(a, a, tape), a, tape), tape=tape)
+    tape.backward(loss)
+    np.testing.assert_array_equal(tape.grad(x), 3.0 * (2.0 * a.data + 1.0))
+    assert len(tape) == 4
+
+
+def test_backward_keeps_leaves_as_tensors_and_produced_tensors_by_id():
+    x, w = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+    tape = Tape()
+    loss = reduce_sum(mul(mul(x, w, tape), x, tape), tape=tape)
+    refs = [weakref.ref(t) for t in (x, w)]
+    produced = weakref.ref(tape._nodes[0][0])
+    del x, w
+    gc.collect()
+    assert produced() is not None  # before backward the nodes hold their outputs
+    tape.backward(loss)
+    gc.collect()
+    assert produced() is None
+    x, w = (r() for r in refs)  # the adjoint store keeps each leaf alive
+    np.testing.assert_array_equal(tape.grad(x), [6.0, 16.0])
+    np.testing.assert_array_equal(tape.grad(w), [1.0, 4.0])
+    assert len(tape) == 3
+
+
 def test_grad_of_a_produced_tensor_raises_without_keeping_it_alive():
     x = Tensor([1.0, 2.0])
     tape = Tape()

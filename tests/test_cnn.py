@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -295,8 +296,9 @@ def test_fused_layer_matches_composed_at_paper_geometry():
 
 
 def test_the_tape_keeps_bool_masks_and_no_scratch():
-    # what one taped layer leaves allocated: its output, a bool ReLU mask, a
-    # bool dropout mask and the pool argmax, and no padded or float copies
+    # what one taped layer leaves allocated: its output, one bool mask of the
+    # units that ReLU and dropout kept and the pool argmax, and no padded or
+    # float copies
     rng = np.random.default_rng(12)
     layer = ConvLayerSpec(5, 1, 16, 2, 0.3)
     x = Tensor(rng.normal(size=(4, 20_000)))
@@ -310,7 +312,69 @@ def test_the_tape_keeps_bool_masks_and_no_scratch():
     finally:
         tracemalloc.stop()
     conv_size = 16 * 20_000
-    assert held <= out.data.nbytes + 2 * conv_size + 8 * out.size + (64 << 10), held
+    assert held <= out.data.nbytes + conv_size + 8 * out.size + (64 << 10), held
+
+
+def test_dropout_row_blocks_draw_the_whole_array_stream(monkeypatch):
+    # 7 rows of 13 conv columns in blocks of 2 rows: three full blocks and a
+    # ragged last one, against one rng.random((7, 13)) on a twin generator
+    rate = 0.3
+    layer = ConvLayerSpec(3, 1, 7, 2, rate)
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(2, 13)))
+    kernels, bias = Tensor(rng.normal(size=(7, 2, 3))), Tensor(rng.normal(size=7))
+    monkeypatch.setattr(cnn, "_CONV_CHUNK", 2 * 13 + 5)
+    gen, twin = np.random.default_rng(21), np.random.default_rng(21)
+    tape = Tape()
+    out = cnn._conv_layer(x, kernels, bias, layer, True, gen, tape)
+    y = cnn._conv_layer(x, kernels, bias, ConvLayerSpec(3, 1, 7)).data  # conv and ReLU
+    y *= twin.random(y.shape) >= rate
+    y *= 1.0 / (1.0 - rate)
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert out.data.tobytes() == y[:, :12].reshape(7, 6, 2).max(axis=2).tobytes()
+
+
+def test_a_layer_input_dies_at_its_last_use_in_backward(monkeypatch):
+    # layer 0's output is layer 1's input: layer 1's closure lets it go once
+    # its kernel gradient is done, before it allocates its input adjoint, and
+    # the tape holds it only by id, so it is dead before layer 0's closure runs
+    rng = np.random.default_rng(4)
+    layers = (ConvLayerSpec(3, 2, 4), ConvLayerSpec(3, 2, 5, 2))
+    weights = [(Tensor(rng.normal(size=(4, 1, 3))), Tensor(rng.normal(size=4))),
+               (Tensor(rng.normal(size=(5, 4, 3))), Tensor(rng.normal(size=5)))]
+    t0_out = cnn._same_geometry(64, 3, 2)[0]
+    _, pad_l, pad_r = cnn._same_geometry(t0_out, 3, 2)
+    gxp_shape = (4, pad_l + t0_out + pad_r)
+    alive = {}
+    zeros = np.zeros
+
+    def watched_zeros(shape, *args, **kwargs):
+        if shape == gxp_shape:
+            alive["at layer 1's input adjoint"] = ref() is not None
+        return zeros(shape, *args, **kwargs)
+
+    class WatchedTape(Tape):
+        def record(self, out, inputs, backward):
+            if len(self) == 0:
+                def first(g, backward=backward):
+                    alive["at layer 0's closure"] = ref() is not None
+                    return backward(g)
+
+                return super().record(out, inputs, first)
+            return super().record(out, inputs, backward)
+
+    tape = WatchedTape()
+    signal = Tensor(rng.normal(size=(1, 64)))
+    h = cnn._conv_layer(signal, *weights[0], layers[0], tape=tape)
+    ref = weakref.ref(h.data)
+    out = cnn._conv_layer(h, *weights[1], layers[1], tape=tape)
+    loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape)), tape), tape=tape)
+    del h, out
+    monkeypatch.setattr(np, "zeros", watched_zeros)
+    tape.backward(loss)
+    monkeypatch.undo()
+    assert alive == {"at layer 1's input adjoint": False, "at layer 0's closure": False}
+    assert tape.grad(weights[0][0]).any() and tape.grad(signal).any()
 
 
 def _taped_step_peak(config, params, record) -> int:
@@ -338,6 +402,20 @@ def test_taped_step_peak_is_at_most_half_the_composed_layers(monkeypatch):
     monkeypatch.setattr(cnn, "_conv_layer", composed_layer)
     composed = _taped_step_peak(config, params, record)
     assert 2 * fused <= composed, (fused, composed)
+
+
+def test_taped_paper_step_peak_is_under_three_layer_0_outputs(monkeypatch):
+    # Backward holds layer 0's output only until layer 1's kernel gradient is
+    # done and lets each output adjoint go once its gy is built. The step then
+    # peaks at 2.7 times layer 0's output bytes; holding that output through
+    # layer 1's input adjoint reads 3.5 times, holding the adjoint through gy
+    # 3.7 times, and a tape that keeps produced tensors 4.8 times.
+    monkeypatch.setattr(cnn, "_CONV_CHUNK", 1 << 16)
+    config = paper_config("crf", hidden_dim=8, channels=8)
+    record = _random_record(config, 32, seed=2)
+    peak = _taped_step_peak(config, init_params(config, 1), record)
+    layer0_out = 8 * 8 * record.signal.size // 2
+    assert peak <= 3 * layer0_out, (peak, layer0_out)
 
 
 def test_desk_crf_record_tape_is_seven_nodes():
