@@ -16,7 +16,9 @@ Ownership during the backward walk: the tape keeps leaves (tensors no
 node produced, such as parameters and the signal) as tensors, and the
 tensors it produced only by id, so an activation lives only as long as
 its caller or a closure holds it. A closure may release what it captured
-at its last use, which frees that activation mid-walk.
+at its last use, which frees that activation mid-walk. The adjoint the
+walk hands a closure shares memory with no other stored adjoint, so the
+closure owns it and may overwrite it in place.
 
 Passing ``tape=None`` runs the same forward math without recording,
 which is how inference-only paths avoid graph overhead.
@@ -79,6 +81,11 @@ class Tape:
     tensors, then drops each node, and each adjoint of a recorded output,
     as soon as it has used them, so it runs once per tape. Gradients of
     tensors that never reached the loss are zero.
+
+    Ownership rule for closures: a closure may overwrite the adjoint it is
+    handed, and must keep no reference to an adjoint it returns. The tape
+    keeps its side: no two stored adjoints share memory, so what it hands
+    a closure is that closure's alone.
     """
 
     __slots__ = ("_nodes", "_grads", "_produced")
@@ -123,12 +130,22 @@ class Tape:
     def _accumulate(self, inputs: tuple[tuple[int, Tensor | None], ...], adjoints) -> None:
         """Add one closure's input adjoints into the store, by input id.
 
-        A method of its own so that no adjoint outlives it in a local of
-        the walk while the next closure runs."""
-        grads = self._grads
+        A closure may return arrays that share memory for two inputs (a sum
+        hands ``g`` to both terms); the later input then stores a copy, so
+        each stored adjoint is owned by its entry alone. A method of its own
+        so that no adjoint outlives it in a local of the walk while the next
+        closure runs."""
+        grads, stored = self._grads, []
         for (key, t), gi in zip(inputs, adjoints):
-            if gi is not None:
-                grads[key] = (t, grads[key][1] + gi) if key in grads else (t, gi)
+            if gi is None:
+                continue
+            if key in grads:
+                grads[key] = (t, grads[key][1] + gi)
+                continue
+            if any(np.may_share_memory(gi, s) for s in stored):
+                gi = gi.copy()
+            grads[key] = (t, gi)
+            stored.append(gi)
 
     def grad(self, t: Tensor) -> Array:
         """Adjoint of the loss w.r.t. ``t`` (zeros if ``t`` is off-path).

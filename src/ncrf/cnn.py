@@ -4,13 +4,16 @@ Each layer is conv -> ReLU -> dropout -> optional max-pool, recorded as
 one tape node with a hand-written backward: the node keeps one bool mask
 of the units that ReLU and dropout kept and the pool argmax, rebuilds its
 input windows only in the backward, and lets go of its input once the
-kernel gradient is done. A residual connection adds a saved earlier
-activation to a later layer's output, as one more node; when shapes
-differ the source is aligned in time by strided column selection and in
-channels by a learned projection applied as U^T X (initialized to the
-truncated identity). The product of all strides and pool windows must
-equal the samples-per-epoch, so a record of n samples always comes out
-as exactly m = n / (rate * epoch_seconds) feature vectors.
+kernel gradient is done. The backward masks the adjoint the tape hands it
+in place (a pooled layer first scatters it into a new array) and drops the
+argmax and the mask as soon as it has used them. A residual connection
+adds a saved earlier activation to a later layer's output, as one more
+node; when shapes differ the source is aligned in time by strided column
+selection and in channels by a learned projection applied as U^T X
+(initialized to the truncated identity). The product of all strides and
+pool windows must equal the samples-per-epoch, so a record of n samples
+always comes out as exactly m = n / (rate * epoch_seconds) feature
+vectors.
 
 Untaped inference on a long record runs the stack on whole-epoch chunks,
 each widened by a halo of whole epochs that covers the receptive field
@@ -261,16 +264,28 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
     elements, the same stream as one whole-array draw. A taped call keeps
     one bool mask, ``y > 0`` after dropout, which is the ReLU mask and the
     keep mask together; untaped calls allocate no mask or argmax. The ReLU
-    and dropout run in place."""
+    and dropout run in place, and when one im2col block covers the output
+    the product is the output.
+
+    The backward owns the adjoint the tape hands it (see ``Tape``): an
+    unpooled layer masks it in place, a pooled one scatters it through the
+    argmax into a new array. It drops the argmax once scattered, the mask
+    once applied and its input once the kernel gradient is done, so none
+    of them is alive when the input adjoint is allocated."""
     dx, dk = x.data, kernels.data
     c_in, t_in = dx.shape
     c_out, _, width = dk.shape
     stride, window, rate = layer.stride, layer.pool_window, layer.dropout_rate
     t_conv, pad_l, pad_r = _same_geometry(t_in, width, stride)
     kmat = dk.reshape(c_out, c_in * width)
-    y = np.empty((c_out, t_conv))
+    y = None
     for t0, cols in _im2col(dx, width, stride, pad_l, t_conv):
-        y[:, t0 : t0 + len(cols)] = kmat @ cols.T
+        if len(cols) == t_conv:  # one block: the product is the output, with no copy
+            y = kmat @ cols.T
+        else:
+            if y is None:
+                y = np.empty((c_out, t_conv))
+            y[:, t0 : t0 + len(cols)] = kmat @ cols.T
         del cols
     y += bias.data[:, None]
     np.maximum(y, 0.0, out=y)
@@ -301,14 +316,16 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
         return out
 
     def bw(g):
-        nonlocal dx
+        nonlocal dx, arg, mask
         if window > 1:
             gy = np.zeros((c_out, t_conv))
             np.put_along_axis(gy, arg + np.arange(0, t_out * window, window), g, axis=1)
-            gy *= mask
+            arg = None
         else:
-            gy = np.multiply(g, mask)
-        del g  # the walk hands over the adjoint; gy replaces it
+            gy = g  # the tape hands over an adjoint no one else holds: mask it in place
+        del g
+        gy *= mask
+        mask = None
         if dropped:
             gy *= scale
         gk = np.zeros((c_out, c_in * width))
@@ -316,11 +333,12 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
             gk += gy[:, t0 : t0 + len(cols)] @ cols
             del cols
         dx = None  # last use: a produced input, which the tape keeps by id only, is freed
-        # rows of kmat.T @ gy in blocks of whole input channels, at most
-        # _CONV_CHUNK elements each, scattered tap by tap into the padded input
+        # rows of kmat.T @ gy in blocks of whole input channels, at most a
+        # quarter of _CONV_CHUNK elements each (row blocks keep the product's
+        # bits), scattered tap by tap into the padded input
         gxp = np.zeros((c_in, pad_l + t_in + pad_r))
         last = (t_conv - 1) * stride
-        step = max(1, _CONV_CHUNK // (width * t_conv))
+        step = max(1, _CONV_CHUNK // 4 // (width * t_conv))
         for c0 in range(0, c_in, step):
             gcols = (kmat.T[c0 * width : (c0 + step) * width] @ gy).reshape(-1, width, t_conv)
             for w in range(width):

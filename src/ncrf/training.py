@@ -114,12 +114,15 @@ class Adam:
             params[name].data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
-def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> None:
+def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale ``grads`` in place to a global norm of at most ``max_norm``;
+    returns the norm before clipping, which may be NaN or inf."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm and total > 0:
         factor = max_norm / total
         for g in grads.values():
             g *= factor
+    return total
 
 
 def _record_gradients(
@@ -151,7 +154,14 @@ def train(
     config: TrainConfig,
 ) -> tuple[Checkpoint, list[EpochStats]]:
     """Optimize the full network; returns the best-kappa checkpoint and
-    the per-epoch (train loss, validation kappa) history."""
+    the per-epoch (train loss, validation kappa) history.
+
+    One gradient dict is alive at a time: a batch's accumulator is
+    allocated once its first record's gradients are back, each record's
+    gradients are dropped once added, and the accumulator once the step
+    is taken, so no record's forward and backward runs beside the
+    previous record's gradients. A non-finite gradient norm raises
+    ``NumericError`` naming the epoch and the batch before Adam runs."""
     if not train_records or not validation_records:
         raise ParameterError("training and validation splits must be non-empty")
     rates = {(r.sample_rate_hz, r.epoch_seconds) for r in train_records + validation_records}
@@ -184,21 +194,29 @@ def train(
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = [int(i) for i in order[start : start + config.batch_size]]
-            grads = {name: np.zeros(t.shape) for name, t in params.items()}
+            grads = None
             for i in batch:
                 value, g = _record_gradients(
                     model_config, params, train_records[i], weights, root, epoch, i
                 )
                 losses.append(value)
+                if grads is None:  # zeros + g: the sum's bits, -0.0 included
+                    grads = {name: np.zeros(t.shape) for name, t in params.items()}
                 for name in grads:
                     grads[name] += g[name]
+                del g
             inv = 1.0 / len(batch)
             for name in grads:
                 grads[name] *= inv
-            _clip_global_norm(grads, CLIP_NORM)
+            norm = _clip_global_norm(grads, CLIP_NORM)
+            if not np.isfinite(norm):
+                ids = [train_records[i].subject_id for i in batch]
+                raise NumericError(f"non-finite gradient norm {norm} at epoch {epoch}, "
+                                   f"records {ids}")
             adam.step(params, grads)
             if prox_threshold > 0:
                 l1_prox(params, prox_threshold)
+            del grads
         val_kappa = evaluate(model_config, params, validation_records).kappa
         history.append(EpochStats(epoch, float(np.mean(losses)), val_kappa))
         if val_kappa > best_kappa:

@@ -386,6 +386,64 @@ def test_grad_of_a_produced_tensor_raises_without_keeping_it_alive():
     assert ref() is None
 
 
+def _node(tape, inputs, value, bw):
+    out = Tensor(value)
+    tape.record(out, inputs, bw)
+    return out
+
+
+def _scaled_by(k, in_place):
+    """A closure scaling its adjoint by k, overwriting it when in_place."""
+
+    def bw(g):
+        if in_place:
+            g *= k
+            return (g,)
+        return (g * k,)
+
+    return bw
+
+
+_WEIGHTS = np.array([1.0, -2.0, 0.5])
+
+
+def _weighted_sum(tape, s):
+    return _node(tape, (s,), np.sum(_WEIGHTS * s.data), lambda g: (g * _WEIGHTS,))
+
+
+def test_one_array_handed_to_two_produced_inputs_is_owned_by_each():
+    # s = p + q hands one array to both; q's closure, then p's, scales the
+    # adjoint it was handed in place. Each must own its copy, or p's leaf
+    # gradient picks up q's factor.
+    def run(in_place):
+        x, w = Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0])
+        tape = Tape()
+        p = _node(tape, (x,), 2.0 * x.data, _scaled_by(2.0, in_place))
+        q = _node(tape, (w,), 3.0 * w.data, _scaled_by(3.0, in_place))
+        s = _node(tape, (p, q), p.data + q.data, lambda g: (g, g))
+        tape.backward(_weighted_sum(tape, s))
+        return tape.grad(x).tobytes(), tape.grad(w).tobytes()
+
+    assert run(in_place=True) == run(in_place=False)
+    np.testing.assert_array_equal(np.frombuffer(run(True)[0]), 2.0 * _WEIGHTS)
+
+
+@pytest.mark.parametrize("leaf_first", [True, False])
+def test_a_leaf_and_a_produced_input_handed_one_array_store_it_apart(leaf_first):
+    # s = p + x, p = 2x: the leaf x and the produced p get one array from s's
+    # closure; p's closure then scales its adjoint in place and adds it to x's
+    def run(in_place):
+        x = Tensor([1.0, 2.0, 3.0])
+        tape = Tape()
+        p = _node(tape, (x,), 2.0 * x.data, _scaled_by(2.0, in_place))
+        s = _node(tape, (x, p) if leaf_first else (p, x), x.data + p.data, lambda g: (g, g))
+        tape.backward(_weighted_sum(tape, s))
+        return tape.grad(x).tobytes()
+
+    assert run(in_place=True) == run(in_place=False)
+    np.testing.assert_array_equal(np.frombuffer(run(True)), 3.0 * _WEIGHTS)
+
+
 def test_broadcast_add_gradients_reduce_correctly():
     a = Tensor(np.ones((3, 4)))
     b = Tensor(np.ones((3, 1)))

@@ -23,6 +23,7 @@ from ncrf.errors import ConfigurationError, ParameterError
 from ncrf.model import ModelConfig, decode_record, desk_config, init_params, paper_config, record_loss
 from ncrf.rng import SplitRng
 import primitives
+from closure_peaks import ClosurePeakTape
 from primitives import (
     add,
     conv1d,
@@ -334,6 +335,18 @@ def test_dropout_row_blocks_draw_the_whole_array_stream(monkeypatch):
     assert out.data.tobytes() == y[:, :12].reshape(7, 6, 2).max(axis=2).tobytes()
 
 
+def _watch_zeros(monkeypatch, shape, seen) -> None:
+    """Call seen() whenever np.zeros allocates an array of this shape."""
+    zeros = np.zeros
+
+    def watched(s, *args, **kwargs):
+        if s == shape:
+            seen()
+        return zeros(s, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", watched)
+
+
 def test_a_layer_input_dies_at_its_last_use_in_backward(monkeypatch):
     # layer 0's output is layer 1's input: layer 1's closure lets it go once
     # its kernel gradient is done, before it allocates its input adjoint, and
@@ -346,35 +359,90 @@ def test_a_layer_input_dies_at_its_last_use_in_backward(monkeypatch):
     _, pad_l, pad_r = cnn._same_geometry(t0_out, 3, 2)
     gxp_shape = (4, pad_l + t0_out + pad_r)
     alive = {}
-    zeros = np.zeros
 
-    def watched_zeros(shape, *args, **kwargs):
-        if shape == gxp_shape:
-            alive["at layer 1's input adjoint"] = ref() is not None
-        return zeros(shape, *args, **kwargs)
+    def at_closure(i):
+        if i == 0:
+            alive["at layer 0's closure"] = ref() is not None
 
-    class WatchedTape(Tape):
-        def record(self, out, inputs, backward):
-            if len(self) == 0:
-                def first(g, backward=backward):
-                    alive["at layer 0's closure"] = ref() is not None
-                    return backward(g)
-
-                return super().record(out, inputs, first)
-            return super().record(out, inputs, backward)
-
-    tape = WatchedTape()
+    tape = ClosurePeakTape(at_closure)
     signal = Tensor(rng.normal(size=(1, 64)))
     h = cnn._conv_layer(signal, *weights[0], layers[0], tape=tape)
     ref = weakref.ref(h.data)
     out = cnn._conv_layer(h, *weights[1], layers[1], tape=tape)
     loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape)), tape), tape=tape)
     del h, out
-    monkeypatch.setattr(np, "zeros", watched_zeros)
+    _watch_zeros(monkeypatch, gxp_shape,
+                 lambda: alive.update({"at layer 1's input adjoint": ref() is not None}))
     tape.backward(loss)
     monkeypatch.undo()
     assert alive == {"at layer 1's input adjoint": False, "at layer 0's closure": False}
     assert tape.grad(weights[0][0]).any() and tape.grad(signal).any()
+
+
+def test_a_pooled_layer_drops_its_argmax_and_mask_before_its_input_adjoint(monkeypatch):
+    rng = np.random.default_rng(5)
+    layer = ConvLayerSpec(3, 2, 5, 2, 0.3)
+    x = Tensor(rng.normal(size=(4, 64)))
+    kernels, bias = Tensor(rng.normal(size=(5, 4, 3))), Tensor(rng.normal(size=5))
+    tape = ClosurePeakTape()
+    out = cnn._conv_layer(x, kernels, bias, layer, True, np.random.default_rng(1), tape)
+    loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape)), tape), tape=tape)
+    refs = {name: weakref.ref(a) for name, a in tape.captured(0).items() if name in ("arg", "mask")}
+    assert sorted(refs) == ["arg", "mask"]
+    _, pad_l, pad_r = cnn._same_geometry(64, 3, 2)
+    alive = {}
+    _watch_zeros(monkeypatch, (4, pad_l + 64 + pad_r),
+                 lambda: alive.update({name: r() is not None for name, r in refs.items()}))
+    tape.backward(loss)
+    monkeypatch.undo()
+    assert alive == {"arg": False, "mask": False}
+    assert tape.grad(x).any()
+
+
+def test_an_unpooled_layer_masks_its_adjoint_in_place():
+    # paper layer 0 is unpooled: its closure masks the adjoint it is handed
+    # instead of building a second array of its output's size, so beyond
+    # what it starts with it holds about a quarter of its output here (the
+    # tap rows of one input channel), where a masked copy holds 1.1 outputs
+    config = paper_config("crf", hidden_dim=8, channels=32)
+    record = _random_record(config, 8, seed=2)
+    tracemalloc.start()
+    try:
+        tape = ClosurePeakTape()
+        loss = record_loss(config, init_params(config, 1), record, training=True,
+                           rng=np.random.default_rng(3), tape=tape)
+        tape.backward(loss)
+    finally:
+        tracemalloc.stop()
+    start, peak = tape.peaks[0]
+    layer0_out = 8 * 32 * record.signal.size // 2
+    assert peak - start <= layer0_out // 2, (peak - start, layer0_out)
+
+
+@pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("forward_blocks", ["one", "several"])
+def test_row_blocked_input_adjoint_equals_composed_bytes(monkeypatch, window, stride,
+                                                         forward_blocks):
+    # 9 input channels: the input adjoint runs in row blocks of 2 channels
+    # (2, 2, 2, 2 and a ragged 1), and the forward in one im2col block whose
+    # product is the output, or in several blocks copied into it
+    c_in, width, t_in = 9, 3, 60
+    t_conv = cnn._same_geometry(t_in, width, stride)[0]
+    chunk = (9 if forward_blocks == "one" else 8) * width * t_conv + 5
+    assert chunk // 4 // (width * t_conv) == 2
+    assert (chunk // (c_in * width) >= t_conv) == (forward_blocks == "one")
+    for module in (cnn, primitives):
+        monkeypatch.setattr(module, "_CONV_CHUNK", chunk)
+    rng = np.random.default_rng(window + 10 * stride)
+    layer = ConvLayerSpec(width, stride, 4, window, 0.3)
+    x = Tensor(rng.normal(size=(c_in, t_in)))
+    kernels = Tensor(rng.normal(size=(4, c_in, width)))
+    bias = Tensor(rng.normal(size=4))
+    weights = rng.normal(size=(4, t_conv // window))
+    for training in (False, True):
+        args = (x, kernels, bias, layer, training, True, weights)
+        fused = [a.tobytes() for a in _layer_run(cnn._conv_layer, *args)]
+        assert fused == [a.tobytes() for a in _layer_run(composed_layer, *args)]
 
 
 def _taped_step_peak(config, params, record) -> int:

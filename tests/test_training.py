@@ -1,5 +1,7 @@
+import re
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -127,6 +129,75 @@ def test_nonfinite_loss_aborts_with_context(corpus):
                  sample_rate_hz=4, epoch_seconds=4)
     with pytest.raises(NumericError, match="broken"):
         train([bad], va, quick_config(max_epochs=1, patience=1))
+
+
+def test_nonfinite_gradient_norm_raises_before_adam_with_params_untouched(corpus, monkeypatch):
+    # a NaN in one record's gradients: the clip skips a NaN norm, so without
+    # the check Adam would write NaN into every parameter
+    tr, va, _ = corpus
+    record_gradients, step = training._record_gradients, training.Adam.step
+    seen, steps = [], []
+
+    def poisoned(model_config, params, record, *args):
+        value, g = record_gradients(model_config, params, record, *args)
+        if not seen:
+            g[next(iter(g))].flat[0] = np.nan
+        seen.append((record.subject_id, params, params.clone()))
+        return value, g
+
+    def counted(self, params, grads):
+        steps.append(1)
+        return step(self, params, grads)
+
+    monkeypatch.setattr(training, "_record_gradients", poisoned)
+    monkeypatch.setattr(training.Adam, "step", counted)
+    with pytest.raises(NumericError, match=r"non-finite gradient norm nan at epoch 1") as err:
+        train(tr, va, quick_config(batch_size=2, max_epochs=1, patience=1))
+    ids = [sid for sid, _, _ in seen]
+    assert len(ids) == 2 and re.search(re.escape(repr(ids)), str(err.value)), (ids, err.value)
+    assert not steps
+    _, params, before = seen[-1]
+    for name, t in params.items():
+        assert t.data.tobytes() == before[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_a_record_starts_with_no_gradient_of_an_earlier_record_alive(monkeypatch, batch_size):
+    # one gradient dict at a time: when a record's forward starts, every
+    # gradient dict an earlier record returned is dead, and the accumulator
+    # exists only from a batch's second record on
+    recs = synth_generate(SynthConfig(num_subjects=8, epochs_per_subject=12, seed=41))
+    tr, va = recs[:6], recs[6:]
+    returned, accumulators, alive = [], [], []
+    record_gradients, record_loss_fn = training._record_gradients, training.record_loss
+
+    def tracked_gradients(*args):
+        value, g = record_gradients(*args)
+        returned.extend(weakref.ref(a) for a in g.values() if isinstance(a, np.ndarray))
+        return value, g
+
+    def tracked_loss(*args, **kwargs):
+        alive.append((sum(r() is not None for r in returned),
+                      sum(r() is not None for r in accumulators)))
+        return record_loss_fn(*args, **kwargs)
+
+    class TrackedNumpy:  # numpy, with every np.zeros of the training loop watched
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, *args, **kwargs):
+            arr = np.zeros(*args, **kwargs)
+            accumulators.append(weakref.ref(arr))
+            return arr
+
+    monkeypatch.setattr(training, "_record_gradients", tracked_gradients)
+    monkeypatch.setattr(training, "record_loss", tracked_loss)
+    monkeypatch.setattr(training, "np", TrackedNumpy())
+    train(tr, va, quick_config(batch_size=batch_size, max_epochs=2, patience=2))
+    assert len(alive) == 2 * len(tr)
+    n_params = len(accumulators) // (len(alive) // batch_size)
+    expected = [(0, 0 if k % batch_size == 0 else n_params) for k in range(len(alive))]
+    assert alive == expected
 
 
 def test_empty_split_rejected(corpus):
