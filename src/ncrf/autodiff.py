@@ -7,14 +7,13 @@ shortcut (``cnn._conv_layer``, ``cnn._shortcut``), the GRU
 CRF's log Z, NLL and cost-sensitive loss (``crf.log_partition``,
 ``crf.crf_nll``, ``crf.cost_sensitive_loss``). A layer computes its
 value with numpy and, when a Tape is passed, appends a node holding the
-output, the input tensors, and a closure mapping the output adjoint to
-input adjoints. Because nodes are appended in execution order, walking
+output's key, its inputs' keys, and a closure mapping the output adjoint
+to input adjoints. Because nodes are appended in execution order, walking
 the list backwards visits each node exactly once and is a valid reverse
 topological order.
 
-Ownership during the backward walk: the tape keeps leaves (tensors no
-node produced, such as parameters and the signal) as tensors, and the
-tensors it produced only by id, so an activation lives only as long as
+Ownership: every Tensor takes a key that never repeats, and the tape
+holds keys only, never a tensor, so an activation lives only as long as
 its caller or a closure holds it. A closure may release what it captured
 at its last use, which frees that activation mid-walk. The adjoint the
 walk hands a closure shares memory with no other stored adjoint, so the
@@ -26,7 +25,7 @@ which is how inference-only paths avoid graph overhead.
 
 from __future__ import annotations
 
-import weakref
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -39,18 +38,22 @@ from .errors import (
 
 Array = np.ndarray
 
+_keys = itertools.count()
+
 
 class Tensor:
     """A dense, row-major array of 64-bit floats.
 
     Tensors are immutable by convention once handed to a layer; nothing
-    in this package writes to ``data`` after construction.
+    in this package writes to ``data`` after construction. ``key`` names
+    the tensor on a tape and is never given to another tensor.
     """
 
-    __slots__ = ("data", "__weakref__")
+    __slots__ = ("data", "key", "__weakref__")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
+        self.key = next(_keys)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,11 +79,11 @@ class Tape:
 
     A tape is single-owner: record on it from one thread, call
     ``backward`` once the scalar loss is known, then query ``grad`` for
-    the tensors the computation started from. ``backward`` first turns
-    every output and produced input into its id, keeping only leaves as
-    tensors, then drops each node, and each adjoint of a recorded output,
-    as soon as it has used them, so it runs once per tape. Gradients of
-    tensors that never reached the loss are zero.
+    the tensors the computation started from. The tape holds keys only:
+    each node is ``(output key, input keys, closure)``, and ``backward``
+    drops each node, and each adjoint of a produced key, as soon as it has
+    used them, so it runs once per tape. Gradients of tensors that never
+    reached the loss are zero.
 
     Ownership rule for closures: a closure may overwrite the adjoint it is
     handed, and must keep no reference to an adjoint it returns. The tape
@@ -92,11 +95,12 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple | None] = []
-        self._grads: dict[int, tuple[Tensor | None, Array]] | None = None
-        self._produced: dict[int, weakref.ref] = {}
+        self._grads: dict[int, Array] | None = None
+        self._produced: set[int] = set()
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
-        self._nodes.append((out, inputs, backward))
+        self._nodes.append((out.key, tuple(t.key for t in inputs), backward))
+        self._produced.add(out.key)
 
     def __len__(self) -> int:
         """The number of nodes recorded, before and after ``backward``."""
@@ -104,47 +108,41 @@ class Tape:
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate adjoints of ``loss`` w.r.t. every tensor the tape did
-        not produce. Every output is alive when the walk starts, so ids are
-        unique then; from there the tape keeps produced tensors by id, and
-        each leaf next to its adjoint, which keeps the leaf's id unique."""
+        not produce."""
         if self._grads is not None:
             raise ParameterError("backward() already ran on this tape")
         if loss.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not np.isfinite(loss.data).all():
             raise NumericError("backward called on a non-finite loss")
-        produced = self._produced
-        produced.update((id(n[0]), weakref.ref(n[0])) for n in self._nodes)
-        self._nodes = nodes = [
-            (id(out), tuple((id(t), None if id(t) in produced else t) for t in inputs), bw)
-            for out, inputs, bw in self._nodes
-        ]
-        key = id(loss)
-        self._grads = {key: (None if key in produced else loss, np.ones_like(loss.data))}
+        nodes = self._nodes
+        self._grads = {loss.key: np.ones_like(loss.data)}
         for i in range(len(nodes) - 1, -1, -1):
             key, inputs, bw = nodes[i]
             nodes[i] = None
             if key in self._grads:
-                self._accumulate(inputs, bw(self._grads.pop(key)[1]))
+                self._accumulate(inputs, bw(self._grads.pop(key)))
 
-    def _accumulate(self, inputs: tuple[tuple[int, Tensor | None], ...], adjoints) -> None:
-        """Add one closure's input adjoints into the store, by input id.
+    def _accumulate(self, inputs: tuple[int, ...], adjoints) -> None:
+        """Add one closure's input adjoints into the store, by input key.
 
         A closure may return arrays that share memory for two inputs (a sum
         hands ``g`` to both terms); the later input then stores a copy, so
-        each stored adjoint is owned by its entry alone. A method of its own
-        so that no adjoint outlives it in a local of the walk while the next
-        closure runs."""
+        each stored adjoint is owned by its entry alone. A closure may also
+        return a numpy scalar, and two 0-d adjoints sum to one; the store
+        keeps arrays. A method of its own so that no adjoint outlives it in
+        a local of the walk while the next closure runs."""
         grads, stored = self._grads, []
-        for (key, t), gi in zip(inputs, adjoints):
+        for key, gi in zip(inputs, adjoints):
             if gi is None:
                 continue
             if key in grads:
-                grads[key] = (t, grads[key][1] + gi)
+                grads[key] = np.asarray(grads[key] + gi)
                 continue
+            gi = np.asarray(gi)
             if any(np.may_share_memory(gi, s) for s in stored):
                 gi = gi.copy()
-            grads[key] = (t, gi)
+            grads[key] = gi
             stored.append(gi)
 
     def grad(self, t: Tensor) -> Array:
@@ -154,13 +152,10 @@ class Tape:
         """
         if self._grads is None:
             raise ParameterError("grad() requires a completed backward() pass")
-        entry = self._grads.get(id(t))
-        if entry is not None:
-            return entry[1]
-        ref = self._produced.get(id(t))
-        if ref is not None and ref() is t:
+        if t.key in self._produced:
             raise ParameterError("grad() of a tensor the tape produced; backward() dropped it")
-        return np.zeros(t.shape)
+        g = self._grads.get(t.key)
+        return np.zeros(t.shape) if g is None else g
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ def _profile_geometry(args) -> tuple[int, int]:
 
 def _cnn_for(args):
     if args.profile == "paper":
-        return paper_cnn_config(channels=args.channels or 256)
-    return desk_cnn_config(channels=args.channels or 32)
+        return paper_cnn_config(channels=256 if args.channels is None else args.channels)
+    return desk_cnn_config(channels=32 if args.channels is None else args.channels)
 
 
 def cmd_synth(args) -> int:
@@ -84,7 +84,7 @@ def cmd_train(args) -> int:
         patience=args.patience,
         batch_size=args.batch,
         seed=args.seed,
-        hidden_dim=args.hidden or (125 if args.profile == "paper" else 64),
+        hidden_dim=(125 if args.profile == "paper" else 64) if args.hidden is None else args.hidden,
         cnn=_cnn_for(args),
     )
     checkpoint, history = train(train_recs, val_recs, config)

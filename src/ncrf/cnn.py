@@ -361,38 +361,25 @@ def input_span(config: CnnConfig, n: int, feature_index: int) -> tuple[int, int]
 
 
 def _span(config: CnnConfig, n: int, feature_index: int) -> tuple[int, int]:
-    """input_span before clamping: padded positions count as samples."""
+    """input_span before clamping: padded positions count as samples.
+
+    Only the main path is walked. A layer maps output columns [a, b] onto
+    input columns that contain [a·pool·stride, b·pool·stride], because
+    ``pad_l <= kernel_width - 1``; so the main path from column t of a
+    shortcut's target already covers column ``t * ratio`` of its source,
+    the one column the shortcut reads.
+    """
     t, pads = n, []
     for layer in config.layers:
         t_conv, pad_l, _ = _same_geometry(t, layer.kernel_width, layer.stride)
         pads.append(pad_l)
         t = t_conv // layer.pool_window
-    targets = {tgt: src for src, tgt in config.residual_pairs}
-
-    # pending[i] = interval of layer i's *output* indices still to trace back
-    pending: dict[int, tuple[int, int]] = {len(config.layers) - 1: (feature_index, feature_index)}
-    lo_in, hi_in = n, -1
-    for i in range(len(config.layers) - 1, -1, -1):
-        if i not in pending:
-            continue
-        a, b = pending.pop(i)
-        if i in targets:
-            src = targets[i]
-            ratio = config.time_ratio(src, i)
-            j = pending.get(src)
-            sa, sb = a * ratio, b * ratio
-            pending[src] = (min(sa, j[0]), max(sb, j[1])) if j else (sa, sb)
-        layer = config.layers[i]
-        a = a * layer.pool_window
-        b = b * layer.pool_window + layer.pool_window - 1
-        a = a * layer.stride - pads[i]
-        b = b * layer.stride - pads[i] + layer.kernel_width - 1
-        if i == 0:
-            lo_in, hi_in = min(lo_in, a), max(hi_in, b)
-        else:
-            j = pending.get(i - 1)
-            pending[i - 1] = (min(a, j[0]), max(b, j[1])) if j else (a, b)
-    return lo_in, hi_in
+    lo = hi = feature_index
+    for layer, pad_l in zip(reversed(config.layers), reversed(pads)):
+        pool, stride = layer.pool_window, layer.stride
+        lo = lo * pool * stride - pad_l
+        hi = (hi * pool + pool - 1) * stride - pad_l + layer.kernel_width - 1
+    return lo, hi
 
 
 def desk_cnn_config(channels: int = 32, dropout_rate: float = 0.1) -> CnnConfig:

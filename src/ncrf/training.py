@@ -105,8 +105,9 @@ class Adam:
         c2 = 1.0 - b2**self.step_count
         for name in params:
             g = grads[name]
-            m = self._m.setdefault(name, np.zeros_like(g))
-            v = self._v.setdefault(name, np.zeros_like(g))
+            if name not in self._m:
+                self._m[name], self._v[name] = np.zeros_like(g), np.zeros_like(g)
+            m, v = self._m[name], self._v[name]
             m *= b1
             m += (1 - b1) * g
             v *= b2

@@ -151,6 +151,20 @@ def test_train_explicit_learning_rate_overrides_profile(tmp_path, corpus_dir):
     assert load_checkpoint(ckpt).extras["learning_rate"] == "0.0005"
 
 
+@pytest.mark.parametrize("flag", ["--hidden", "--channels"])
+def test_train_rejects_a_zero_size_in_one_line(tmp_path, corpus_dir, capsys, flag):
+    # 0 is a size the user gave, not an unset option: validation must see it
+    ckpt = tmp_path / "zero.ncrf"
+    code = main([
+        "train", "--data", str(corpus_dir / "manifest.txt"), flag, "0",
+        "--out", str(ckpt), "--max-epochs", "1", "--patience", "1",
+    ])
+    assert code == 1
+    assert not ckpt.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_writes_summary_with_exact_keys(tmp_path, corpus_dir, trained):
     out = tmp_path / "report"
     code = main([

@@ -574,19 +574,25 @@ def test_fused_shortcut_equals_composed_bytes(drawn, t_out, seed):
 # ---------------------------------------------------------------------------
 
 
-def test_input_span_covers_gradient_support():
-    config = tiny_config()
-    params = cnn_init(config, np.random.default_rng(11))
-    n = 64
-    x = Tensor(np.random.default_rng(12).normal(size=(1, n)))
-    for feat in (0, 3, 7):
-        tape = Tape()
-        out = cnn_forward(x, config, params, tape=tape)
-        tape.backward(reduce_sum(take_cols(out, [feat], tape), tape=tape))
-        support = np.flatnonzero(tape.grad(x)[0])
-        lo, hi = input_span(config, n, feat)
-        assert support.size
-        assert lo <= support.min() and support.max() <= hi
+@settings(max_examples=100, deadline=None)
+@given(config=st.deferred(lambda: cnn_configs()), m=st.integers(1, 4), feat=st.integers(0, 3),
+       seed=st.integers(0, 2**16))
+def test_input_span_covers_gradient_support(config, m, feat, seed):
+    # random residual pairs: the span walks the main path only, so a shortcut
+    # reaching outside it would show up here
+    rng = np.random.default_rng(seed)
+    params = cnn_init(config, rng)
+    for t in params.values():
+        np.abs(t.data, out=t.data)  # a positive network keeps every ReLU open
+    n, feat = m * config.downsample_factor, feat % m
+    x = Tensor(rng.uniform(0.5, 1.0, size=(config.input_channels, n)))
+    tape = Tape()
+    out = cnn_forward(x, config, params, tape=tape)
+    tape.backward(reduce_sum(take_cols(out, [feat], tape), tape=tape))
+    support = np.flatnonzero(np.any(tape.grad(x) != 0, axis=0))
+    lo, hi = input_span(config, n, feat)
+    assert support.size
+    assert lo <= support.min() and support.max() <= hi
 
 
 def test_input_span_accounts_for_residual_paths():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrf import training
-from ncrf.autodiff import Tape
+from ncrf.autodiff import ModelParams, Tape, Tensor
 from ncrf.cnn import CnnConfig, ConvLayerSpec
 from ncrf.data import Record, SynthConfig, synth_generate, split_by_subject
 from ncrf.errors import (
@@ -119,6 +119,35 @@ def test_single_step_decreases_record_loss(corpus):
     Adam(1e-4).step(params, grads)
     after = record_loss(config, params, rec).item()
     assert after < before.item()
+
+
+def test_adam_allocates_its_moments_on_the_first_step_only(monkeypatch):
+    params = ModelParams(a=Tensor(np.ones((2, 3))), b=Tensor(np.ones(4)))
+    grads = {"a": np.full((2, 3), 0.5), "b": np.full(4, -0.25)}
+    made = []
+    zeros_like = np.zeros_like
+
+    def counted(a, *args, **kwargs):
+        made.append(a.shape)
+        return zeros_like(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros_like", counted)
+    adam = Adam(1e-3)
+    adam.step(params, grads)
+    assert made == [(2, 3), (2, 3), (4,), (4,)]
+    adam.step(params, grads)
+    assert len(made) == 4
+
+
+@pytest.mark.parametrize("kind", ["crf", "crf2"])
+def test_record_gradients_are_arrays_of_their_parameters_shapes(corpus, kind):
+    tr, _, _ = corpus
+    config = desk_config(kind, hidden_dim=6, channels=4)
+    params = init_params(config, 3)
+    _, grads = training._record_gradients(config, params, tr[0], None, SplitRng(5), 1, 0)
+    assert list(grads) == list(params)
+    for name, g in grads.items():
+        assert type(g) is np.ndarray and g.shape == params[name].shape, name
 
 
 def test_nonfinite_loss_aborts_with_context(corpus):
