@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ModelParams, Tensor, grad_check
+from .autodiff import ModelParams, Tape, Tensor, grad_check
 from .cnn import CnnConfig, ConvLayerSpec, desk_cnn_config, paper_cnn_config
-from .crf import CrfPotentials, cost_sensitive_loss, crf_init, crf_nll, potentials_from_hidden
+from .crf import (CrfPotentials, cost_sensitive_loss, crf_init, crf_nll, log_partition,
+                  potentials_from_hidden)
 from .data import (
     STAGE_TOKENS,
     Record,
@@ -30,7 +31,7 @@ from .data import (
 from .errors import NcrfError, ParameterError
 from .gru import gru_forward, gru_init
 from .metrics import write_report
-from .model import ModelConfig, decode_record, evaluate, init_params, record_loss
+from .model import ModelConfig, decode_record, evaluate, hidden_states, init_params, record_loss
 from .saliency import export_saliency, saliency_map
 from .training import (
     Checkpoint,
@@ -252,11 +253,25 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_inspect(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    if checkpoint.model_config.crf_order == 0:
+    cfg, params = checkpoint.model_config, checkpoint.params
+    if cfg.crf_order == 0:
         raise ParameterError("inspect needs a crf or crf2 checkpoint")
-    t1 = checkpoint.params["crf.T1"].data
-    normalized = np.exp(t1 - t1.max(axis=1, keepdims=True))
-    normalized /= normalized.sum(axis=1, keepdims=True)
+    t1 = params["crf.T1"]
+    if args.data:
+        # d log Z / d T1 summed over the records: the model's expected number of i -> j moves
+        counts = np.zeros(t1.shape)
+        for rec in load_records(args.data, sample_rate_hz=cfg.sample_rate_hz,
+                                epoch_seconds=cfg.epoch_seconds):
+            hidden = hidden_states(cfg, params, Tensor(rec.signal.reshape(1, -1)))
+            tape = Tape()
+            tape.backward(log_partition(potentials_from_hidden(hidden, params), tape))
+            counts += tape.grad(t1)
+    else:
+        counts = np.exp(t1.data - t1.data.max(axis=1, keepdims=True))
+    leaving = counts.sum(axis=1, keepdims=True)
+    if not (leaving > 0.0).all():
+        raise ParameterError("the records give some stage no expected move out of it")
+    normalized = counts / leaving
     lines = ["," + ",".join(STAGE_TOKENS)]
     for i, tok in enumerate(STAGE_TOKENS):
         lines.append(tok + "," + ",".join(f"{v:.6f}" for v in normalized[i]))
@@ -332,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="dump the normalized CRF transition matrix")
     p.add_argument("--checkpoint", required=True)
+    p.add_argument("--data", help="manifest: print the model's expected P(next | current) "
+                                   "stage over its records instead")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_inspect)
     return parser

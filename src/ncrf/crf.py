@@ -343,15 +343,17 @@ def viterbi(potentials: CrfPotentials) -> tuple[list[int], float]:
     """
     a0, psi, slots = _chain(potentials)
     v = a0
-    back: list[np.ndarray] = []
-    for step in psi:
+    back = np.empty((len(psi), a0.size), dtype=np.intp)
+    cols = np.arange(a0.size)
+    for t, step in enumerate(psi):
         cand = v[:, None] + step
-        back.append(cand.argmax(axis=0))
-        v = cand.max(axis=0)
-    states = [int(np.argmax(v))]
-    score = float(v[states[0]])
-    for best in reversed(back):
-        states.append(int(best[states[-1]]))
+        v = cand[cand.argmax(axis=0, out=back[t]), cols]
+    state = int(np.argmax(v))
+    score = float(v[state])
+    states = [state]
+    for best in back[::-1].tolist():
+        state = best[state]
+        states.append(state)
     return [s // slots for s in reversed(states)], score
 
 

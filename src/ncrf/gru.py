@@ -24,10 +24,11 @@ from .errors import DimensionError, EmptySequenceError
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     """``1/(1+exp(-v))`` for v >= 0 and ``exp(v)/(1+exp(v))`` below, so
-    exp never overflows; ``min(v, -v)`` keeps a NaN's sign."""
+    exp never overflows; ``min(v, -v)`` keeps a NaN's sign. As 0 <= e <= 1,
+    ``fmax(e, sign(v))`` is 1 for v >= 0 and e below; for a NaN it is e's
+    NaN, the first of two, which the divide passes on."""
     e = np.exp(np.minimum(v, -v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    return np.fmax(e, np.sign(v)) / (e + 1.0)
 
 
 def gru_init(feature_dim: int, hidden_dim: int, rng: np.random.Generator) -> ModelParams:
@@ -60,19 +61,24 @@ def gru_forward(
     f = features.data
     wz, bz, wr, br, wh, bh, uz, ur, uh = (t.data for t in inputs)
 
-    # gate input projections for every step at once
+    # gate input projections for every step at once, one row per step;
+    # the z and r rows are side by side so that one sigmoid serves both
     xz, xr, xh = wz @ f + bz[:, None], wr @ f + br[:, None], wh @ f + bh[:, None]
+    xzr, xh = np.concatenate((xz, xr)).T.copy(), xh.T.copy()
 
-    # h stays a contiguous vector, never a strided view: the BLAS matvec
-    # path, and so its bits, depend on the layout
-    h = np.zeros(uz.shape[0])
-    states = []
+    # hs[t + 1] is the state after step t, hs[0] the zero state. Each U
+    # keeps its own matvec on a contiguous row: a stacked product, or a
+    # strided h, changes which BLAS kernel runs and so its bits. ndarray.dot
+    # makes the same BLAS call as `@` with less dispatch.
+    n = uz.shape[0]
+    hs = np.zeros((m + 1, n))
     steps = [] if tape is not None else None  # per-step values backward reads
     for t in range(m):
-        u = _sigmoid(xz[:, t] + uz @ h)
-        r = _sigmoid(xr[:, t] + ur @ h)
-        mh = uh @ h
-        pre = xh[:, t] + r * mh
+        h = hs[t]
+        zr = _sigmoid(np.concatenate((uz.dot(h), ur.dot(h))) + xzr[t])
+        u, r = zr[:n], zr[n:]
+        mh = uh.dot(h)
+        pre = xh[t] + r * mh
         if candidate_tanh:
             act = cand = np.tanh(pre)
         else:
@@ -80,44 +86,56 @@ def gru_forward(
             cand = act * 2.0 - 1.0
         keep = 1.0 - u
         if steps is not None:
-            steps.append((h, u, r, mh, act, cand, keep))
-        h = u * h + keep * cand
-        states.append(h)
-    out = Tensor(np.stack(states, axis=1))
+            steps.append((zr, mh, act))
+        np.add(u * h, keep * cand, out=hs[t + 1])
+    out = Tensor(hs[1:].T.copy())
 
     if tape is not None:
+        # the loop's values again, as whole arrays with the same bits
+        zr, mh, act = (np.array(a) for a in zip(*steps))
+        u, r = zr[:, :n], zr[:, n:]
+        keep_dr = 1.0 - zr  # (1 - u, 1 - r)
+        keep = keep_dr[:, :n]
+        cand = act if candidate_tanh else act * 2.0 - 1.0
+        d_act = 1.0 - act * act if candidate_tanh else 1.0 - act
 
         def bw(g):
             # Written as the tape would evaluate the composed cell of
             # tests/test_gru.py, primitive by primitive and in its order:
             # the sums below are not reassociated, and the column adjoints
             # gain the `+ 0.0` that scatter-adding zero matrices gives.
-            gz, gr, gh = np.zeros(xz.shape), np.zeros(xr.shape), np.zeros(xh.shape)
-            n = uz.shape[0]
-            g3 = np.empty(3 * n)  # the z, r and candidate gate adjoints of one step
-            dh = g[:, m - 1]
+            # Row t of g3 holds step t's z, r and candidate gate adjoints
+            # (g_az, g_ar, g_mh), the rows of the stacked U_z, U_r and U_h
+            # gradients; row t of g_h holds its g_pre.
+            g3, g_h = np.empty((m, 3 * n)), np.empty((m, n))
+            x = np.empty(2 * n)  # one step's (g_u, g_pre * mh)
+            g_rows = g.T.copy()
+            dh = g_rows[m - 1]
             for t in range(m - 1, -1, -1):
-                h_prev, u, r, mh, act, cand, keep = steps[t]
-                g_keep = dh * cand
-                g_cand = dh * keep
-                g_u = dh * h_prev + (-g_keep)
+                h_prev, g3_t, g_pre = hs[t], g3[t], g_h[t]
+                g_azr = g3_t[: 2 * n]
+                np.subtract(dh * h_prev, dh * cand[t], out=x[:n])
                 if candidate_tanh:
-                    g_pre = g_cand * (1.0 - act * act)
+                    np.multiply(dh * keep[t], d_act[t], out=g_pre)
                 else:
-                    g_pre = (g_cand * 2.0) * act * (1.0 - act)
-                g_mh = g_pre * r
-                g_ar = (g_pre * mh) * r * (1.0 - r)
-                g_az = g_u * u * (1.0 - u)
-                g3[:n], g3[n : 2 * n], g3[2 * n :] = g_az, g_ar, g_mh
-                if t == m - 1:  # the stacked U_z, U_r and U_h gradients
-                    gU = g3[:, None] * h_prev
+                    np.multiply(dh * keep[t] * 2.0 * act[t], d_act[t], out=g_pre)
+                np.multiply(g_pre, mh[t], out=x[n:])
+                np.multiply(x, zr[t], out=g_azr)
+                np.multiply(g_azr, keep_dr[t], out=g_azr)
+                np.multiply(g_pre, r[t], out=g3_t[2 * n :])
+                if t == m - 1:
+                    gU = g3_t[:, None] * h_prev
                 else:
-                    gU += g3[:, None] * h_prev
-                gz[:, t], gr[:, t], gh[:, t] = g_az, g_ar, g_pre
+                    gU += g3_t[:, None] * h_prev
                 if t:
-                    dh = g[:, t - 1] + dh * u + uh.T @ g_mh + ur.T @ g_ar + uz.T @ g_az
+                    dh = (g_rows[t - 1] + dh * u[t] + uh.T.dot(g3_t[2 * n :])
+                          + ur.T.dot(g3_t[n : 2 * n]) + uz.T.dot(g3_t[:n]))
+            # [hidden, m] C-ordered adjoints, the layout the products below
+            # had when they were filled column by column
+            gz, gr, gh = (np.ascontiguousarray(a.T) for a in (g3[:, :n], g3[:, n : 2 * n], g_h))
             if m > 1:
-                gz, gr, gh = gz + 0.0, gr + 0.0, gh + 0.0
+                for a in (gz, gr, gh):
+                    a += 0.0
             # the input projections' adjoints; the features' sums h, r, z in
             # the order the composed tape's reversed walk adds them
             g_f = wh.T @ gh + wr.T @ gr + wz.T @ gz

@@ -16,7 +16,9 @@ computes with numpy and, when a Tape is passed, records one node.
 ``sample_chain_per_step`` and ``synth_generate_per_epoch`` are the
 synthetic corpus generator as it was written first, one chain step and
 one epoch at a time; ``test_data.py`` holds ``data.synth_generate`` to
-their bytes.
+their bytes. ``reference_viterbi`` is the max-plus decoder as it was
+first written, with list back-pointers and a second ``max`` per step;
+``test_crf.py`` holds ``crf.viterbi`` to its paths and score bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from ncrf.autodiff import Tape, Tensor
 from ncrf.cnn import _CONV_CHUNK
+from ncrf.crf import CrfPotentials, _chain
 from ncrf.data import _PHASE, Record, SleepStage, SynthConfig
 from ncrf.errors import DimensionError, ParameterError
 from ncrf.gru import _sigmoid
@@ -423,3 +426,20 @@ def synth_generate_per_epoch(config: SynthConfig) -> list[Record]:
             )
         )
     return records
+
+
+def reference_viterbi(potentials: CrfPotentials) -> tuple[list[int], float]:
+    """Highest-scoring label sequence and its score, ties to the lowest
+    label read from the last position backwards."""
+    a0, psi, slots = _chain(potentials)
+    v = a0
+    back: list[np.ndarray] = []
+    for step in psi:
+        cand = v[:, None] + step
+        back.append(cand.argmax(axis=0))
+        v = cand.max(axis=0)
+    states = [int(np.argmax(v))]
+    score = float(v[states[0]])
+    for best in reversed(back):
+        states.append(int(best[states[-1]]))
+    return [s // slots for s in reversed(states)], score

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import ncrf
+from ncrf.autodiff import Tensor
 from ncrf.cli import main
-from ncrf.data import SynthConfig, save_synth_config
-from ncrf.model import desk_config, init_params
+from ncrf.crf import _enumerate_scores, potentials_from_hidden
+from ncrf.data import SynthConfig, load_records, save_synth_config, synth_generate, write_corpus
+from ncrf.model import desk_config, hidden_states, init_params
 from ncrf.training import Checkpoint, load_checkpoint, save_checkpoint
 
 
@@ -313,6 +315,54 @@ def test_inspect_rejects_softmax_checkpoint(tmp_path):
     path = tmp_path / "soft.ncrf"
     save_checkpoint(path, ckpt)
     assert main(["inspect", "--checkpoint", str(path)]) == 1
+
+
+@pytest.mark.parametrize("kind", ["crf", "crf2"])
+def test_inspect_data_prints_expected_move_probabilities(tmp_path, kind):
+    # the direct computation enumerates all 4^4 label sequences of each record
+    config = desk_config(kind, hidden_dim=6, channels=4)
+    params = init_params(config, 1)
+    rng = np.random.default_rng(4)
+    for name in ("crf.T1", "crf.T2"):
+        if name in params:
+            params[name].data[:] = rng.normal(scale=2.0, size=(4, 4))
+    path = tmp_path / f"{kind}.ncrf"
+    save_checkpoint(path, Checkpoint(config, params, seed=0, epoch=0, val_kappa=0.0))
+    records = synth_generate(SynthConfig(num_subjects=3, epochs_per_subject=4, seed=2))
+    manifest = write_corpus(records, tmp_path / "tiny")
+    out = tmp_path / "moves.csv"
+    assert main(["inspect", "--checkpoint", str(path), "--data", str(manifest),
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",W,R,L,D"
+    printed = np.array([[float(v) for v in row.split(",")[1:]] for row in lines[1:]])
+
+    counts = np.zeros((4, 4))
+    for rec in load_records(manifest, sample_rate_hz=4, epoch_seconds=4):
+        hidden = hidden_states(config, params, Tensor(rec.signal.reshape(1, -1)))
+        seqs, scores = _enumerate_scores(potentials_from_hidden(hidden, params))
+        w = np.exp(scores - scores.max())
+        w /= w.sum()
+        for t in range(seqs.shape[1] - 1):
+            np.add.at(counts, (seqs[:, t], seqs[:, t + 1]), w)
+    expected = counts / counts.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(printed.sum(axis=1), 1.0, atol=4e-6)
+    np.testing.assert_allclose(printed, expected, rtol=0, atol=1e-6)
+    # the scores alone give another table
+    assert main(["inspect", "--checkpoint", str(path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] != lines[1:]
+
+
+def test_inspect_data_without_moves_fails_with_one_line(tmp_path, capsys):
+    config = desk_config("crf", hidden_dim=6, channels=4)
+    path = tmp_path / "crf.ncrf"
+    save_checkpoint(path, Checkpoint(config, init_params(config, 1), seed=0, epoch=0,
+                                     val_kappa=0.0))
+    records = synth_generate(SynthConfig(num_subjects=2, epochs_per_subject=1, seed=2))
+    manifest = write_corpus(records, tmp_path / "single")
+    assert main(["inspect", "--checkpoint", str(path), "--data", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gradcheck_tiny_passes():

@@ -28,6 +28,7 @@ from primitives import (
     gather_pairs,
     mul,
     reduce_sum,
+    reference_viterbi,
     scale,
     sub,
     transpose,
@@ -380,6 +381,29 @@ def test_viterbi_decouples_without_transitions():
         pot = zero_potentials(int(rng.integers(1, 301)))
         pot.scores.data[:] = rng.integers(-1, 2, size=pot.scores.shape)
         assert viterbi(pot)[0] == list(np.argmax(pot.scores.data, axis=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([0, 1, 2]), m=st.integers(1, 300))
+def test_viterbi_equals_the_list_based_reference(seed, order, m):
+    # scores in {-1, 0, 1} make exact ties at every length, so the
+    # back-pointers and the tie rule are compared, not only the best score
+    rng = np.random.default_rng(seed)
+    scores = Tensor(rng.integers(-1, 2, size=(m, K)).astype(float))
+    if order == 0:  # edgeless, as potentials_from_hidden builds the softmax chain
+        pot = CrfPotentials(scores, Tensor(np.zeros((K, K))), Tensor(np.zeros(())))
+    else:
+        pot = CrfPotentials(
+            scores=scores,
+            transitions=Tensor(rng.integers(-1, 2, size=(K, K)).astype(float)),
+            edge_bias=Tensor(np.float64(rng.integers(-1, 2))),
+            second_order=(Tensor(rng.integers(-1, 2, size=(K, K)).astype(float))
+                          if order == 2 else None),
+        )
+    path, score = viterbi(pot)
+    ref_path, ref_score = reference_viterbi(pot)
+    assert path == ref_path
+    assert np.float64(score).tobytes() == np.float64(ref_score).tobytes()
 
 
 def test_viterbi_score_dominates_random_sequences():
