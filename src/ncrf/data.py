@@ -15,6 +15,7 @@ the code.
 from __future__ import annotations
 
 import bisect
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -26,6 +27,7 @@ from .errors import (
     AlignmentError,
     DataParseError,
     DegenerateDistributionError,
+    NumericError,
     ParameterError,
 )
 from .rng import SplitRng
@@ -165,22 +167,63 @@ def load_records(
     return records
 
 
+def _check_writable(records: list[Record]) -> None:
+    """Refuse, before any file exists, a corpus that load_records cannot read back."""
+    if not records:
+        raise ParameterError("no records to write")
+    seen = set()
+    for rec in records:
+        sid = rec.subject_id
+        if sid in seen:
+            raise ParameterError(f"duplicate subject id {sid!r}")
+        seen.add(sid)
+        if (sid != sid.strip() or sid.startswith("#") or sid.splitlines() != [sid]
+                or any(c in sid for c in (",", "/", "\0", os.sep))):
+            raise ParameterError(f"subject id {sid!r} cannot be a manifest field and a file name")
+        if not np.isfinite(rec.signal).all():
+            raise NumericError(f"record {sid!r} has a non-finite sample")
+
+
+def _write_signal(f, signal: np.ndarray) -> None:
+    """One shortest round-trip repr per line, each distinct value formatted once.
+
+    Values are keyed by their float64 bits, so 0.0 and -0.0 keep their own
+    text. A record with more than half of its samples distinct formats
+    sample by sample, because gathering the texts costs more than it saves.
+    """
+    keys = signal.view(np.int64)
+    ordered = np.sort(keys)
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    if 2 * distinct.size > signal.size:
+        for a in range(0, signal.size, _WRITE_BLOCK):
+            f.write("\n".join(map(repr, signal[a : a + _WRITE_BLOCK].tolist())) + "\n")
+        return
+    texts = np.array([repr(v) + "\n" for v in distinct.view(np.float64).tolist()], dtype=object)
+    for a in range(0, signal.size, _WRITE_BLOCK):
+        f.write("".join(texts[np.searchsorted(distinct, keys[a : a + _WRITE_BLOCK])].tolist()))
+
+
 def write_corpus(records: list[Record], out_dir: str | Path) -> Path:
-    """Write signal/label files plus a manifest; returns the manifest path."""
+    """Write signal/label files plus a manifest; returns the manifest path.
+
+    Raises ParameterError for an empty list, a repeated subject id or one
+    that a manifest field or a file name cannot hold, and NumericError for
+    a non-finite sample, before it creates any file.
+    """
+    _check_writable(records)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for rec in records:
         sig_name = f"{rec.subject_id}.signal.txt"
         lab_name = f"{rec.subject_id}.labels.txt"
-        with open(out / sig_name, "w") as f:
-            for a in range(0, rec.num_samples, _WRITE_BLOCK):
-                f.write("\n".join(map(repr, rec.signal[a : a + _WRITE_BLOCK].tolist())) + "\n")
+        with open(out / sig_name, "w", encoding="utf-8") as f:
+            _write_signal(f, rec.signal)
         tokens = [STAGE_TOKENS[lab] + "\n" for lab in rec.labels.tolist()]
-        (out / lab_name).write_text("".join(tokens))
+        (out / lab_name).write_text("".join(tokens), encoding="utf-8")
         lines.append(f"{rec.subject_id},{sig_name},{lab_name}")
     manifest = out / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 
 

@@ -19,6 +19,9 @@ one epoch at a time; ``test_data.py`` holds ``data.synth_generate`` to
 their bytes. ``reference_viterbi`` is the max-plus decoder as it was
 first written, with list back-pointers and a second ``max`` per step;
 ``test_crf.py`` holds ``crf.viterbi`` to its paths and score bytes.
+``reference_signal_text`` is the signal-file writer as it was first
+written, one ``repr`` per sample; ``test_data.py`` holds
+``data.write_corpus`` to its text.
 """
 
 from __future__ import annotations
@@ -426,6 +429,11 @@ def synth_generate_per_epoch(config: SynthConfig) -> list[Record]:
             )
         )
     return records
+
+
+def reference_signal_text(signal: np.ndarray) -> str:
+    """A signal file's text: each sample's repr on its own line."""
+    return "".join(repr(v) + "\n" for v in signal.tolist())
 
 
 def reference_viterbi(potentials: CrfPotentials) -> tuple[list[int], float]:

@@ -72,6 +72,12 @@ def test_synth_repeat_seed_identical(tmp_path, small_cfg):
     assert dir_digest(a) == dir_digest(b)
 
 
+def test_default_synth_corpus_bytes_are_pinned(tmp_path):
+    # the digest of the corpus as the one-repr-per-sample writer wrote it
+    assert main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
+    assert dir_digest(tmp_path) == "8e4f5d497f13324fb486d05eadea75a409a6ac25e35101f56651deba1a28da56"
+
+
 def test_synth_missing_out_is_usage_error(small_cfg):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--config", str(small_cfg)])
@@ -277,6 +283,24 @@ def test_train_on_empty_signal_file_prints_one_line(tmp_path, corpus_dir):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {corpus / 'synth0000.signal.txt'}: no samples\n"
+
+
+def test_desk_training_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, corpus_dir):
+    # paper-scale gradients differ by round-off across thread counts; desk bytes do not
+    digests = []
+    for threads in ("1", "2"):
+        ckpt = tmp_path / f"threads{threads}.ncrf"
+        env = {**os.environ, "PYTHONPATH": str(Path(ncrf.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncrf.cli", "train", "--data", str(corpus_dir / "manifest.txt"),
+             "--out", str(ckpt), "--max-epochs", "2"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append([hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (ckpt, ckpt.with_suffix(".history.csv"))])
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from primitives import synth_generate_per_epoch
+from primitives import reference_signal_text, synth_generate_per_epoch
 
 from ncrf.data import (
     _WRITE_BLOCK,
@@ -28,6 +29,7 @@ from ncrf.errors import (
     DataParseError,
     DegenerateDistributionError,
     NcrfError,
+    NumericError,
     ParameterError,
 )
 
@@ -91,22 +93,85 @@ def test_write_corpus_writes_one_repr_per_line_and_round_trips(tmp_path):
     assert loaded.signal.tobytes() == rec.signal.tobytes()
 
 
-def test_write_corpus_block_seams(tmp_path):
-    # whole blocks of the writer and a last one 3 samples long
-    n = (1 << 16) + 3
-    assert n % _WRITE_BLOCK == 3
-    rng = np.random.default_rng(3)
-    signal = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+SEAM_SAMPLES = (1 << 16) + 3  # whole blocks of the writer and a last one 3 samples long
+
+
+def _wide_signal(rng):
+    """Every sample distinct, magnitudes from 1e-300 to 1e300."""
+    signal = rng.standard_normal(SEAM_SAMPLES) * 10.0 ** rng.integers(-300, 300, size=SEAM_SAMPLES)
     signal[_WRITE_BLOCK - 1 : _WRITE_BLOCK + 1] = EXTREME_VALUES[:2]
-    rec = Record("seam", signal, rng.integers(0, 4, size=n), sample_rate_hz=1, epoch_seconds=1)
+    return signal
+
+
+def _few_distinct_signal(rng):
+    """Nine values, signed zeros and subnormals among them, with -0.0 and 0.0
+    on both sides of every block seam."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 0.1, -1.0, 1e16])
+    signal = pool[rng.integers(0, pool.size, size=SEAM_SAMPLES)]
+    for k, seam in enumerate(range(_WRITE_BLOCK, SEAM_SAMPLES, _WRITE_BLOCK)):
+        signal[seam - 1 : seam + 1] = (-0.0, 0.0) if k % 2 else (0.0, -0.0)
+    return signal
+
+
+def _distinct_share_signal(distinct):
+    def make(rng):
+        values = rng.standard_normal(distinct) * 10.0 ** rng.integers(-300, 300, size=distinct)
+        values[:4] = (0.0, -0.0, 5e-324, -5e-324)
+        repeats = values[rng.integers(0, distinct, size=SEAM_SAMPLES - distinct)]
+        signal = rng.permutation(np.concatenate([values, repeats]))
+        assert np.unique(signal.view(np.int64)).size == distinct
+        return signal
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    _wide_signal,
+    _few_distinct_signal,
+    # the writer formats each distinct value once up to half of the samples distinct
+    _distinct_share_signal(SEAM_SAMPLES // 2),
+    _distinct_share_signal(SEAM_SAMPLES // 2 + 1),
+], ids=["all-distinct", "few-distinct", "half-distinct", "over-half-distinct"])
+def test_write_corpus_block_seams(tmp_path, make):
+    assert SEAM_SAMPLES % _WRITE_BLOCK == 3
+    rng = np.random.default_rng(3)
+    signal = make(rng)
+    rec = Record("seam", signal, rng.integers(0, 4, size=SEAM_SAMPLES), sample_rate_hz=1,
+                 epoch_seconds=1)
     manifest = write_corpus([rec], tmp_path)
-    text = (tmp_path / "seam.signal.txt").read_text()
-    assert text == "".join(repr(v) + "\n" for v in signal.tolist())
+    lines = (tmp_path / "seam.signal.txt").read_text().split("\n")
+    expected = reference_signal_text(signal).split("\n")
+    # the first differing line: a diff of 65,539 lines would take minutes
+    mismatch = [i for i, (a, b) in enumerate(zip(lines, expected)) if a != b]
+    assert len(lines) == len(expected) and mismatch[:1] == []
     labels = (tmp_path / "seam.labels.txt").read_text()
     assert labels == "".join(STAGE_TOKENS[k] + "\n" for k in rec.labels)
     (loaded,) = load_records(manifest, sample_rate_hz=1, epoch_seconds=1)
     assert loaded.signal.tobytes() == signal.tobytes()
     assert loaded.labels.tobytes() == rec.labels.tobytes()
+
+
+def _one_epoch(sid, signal=(0.0, 1.0)):
+    return Record(sid, np.asarray(signal), [0], sample_rate_hz=1, epoch_seconds=2)
+
+
+@pytest.mark.parametrize("records, error, named", [
+    ([_one_epoch("a"), _one_epoch("b"), _one_epoch("a")], ParameterError, "a"),
+    ([_one_epoch("a,b")], ParameterError, "a,b"),
+    ([_one_epoch("a\nb")], ParameterError, "a\nb"),
+    ([_one_epoch("a\r")], ParameterError, "a\r"),
+    ([_one_epoch(" a")], ParameterError, " a"),
+    ([_one_epoch("a\t")], ParameterError, "a\t"),
+    ([_one_epoch("#a")], ParameterError, "#a"),
+    ([_one_epoch("a/b")], ParameterError, "a/b"),
+    ([_one_epoch("a"), _one_epoch("b", (0.0, np.nan))], NumericError, "b"),
+    ([_one_epoch("a", (np.inf, 0.0))], NumericError, "a"),
+    ([], ParameterError, None),
+], ids=["duplicate", "comma", "newline", "carriage-return", "leading-space", "trailing-tab",
+        "comment", "separator", "nan", "inf", "no-records"])
+def test_write_corpus_refuses_a_corpus_it_cannot_read_back(tmp_path, records, error, named):
+    with pytest.raises(error, match=None if named is None else re.escape(repr(named))):
+        write_corpus(records, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("content", ["", "\n\n", "# airflow\n  \n# nothing else\n"])
