@@ -57,10 +57,12 @@ class TrainConfig:
     candidate_tanh: bool = False
 
     def __post_init__(self):
-        if self.l1_lambda < 0:
-            raise ParameterError("l1_lambda must be >= 0")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
+        # NaN fails every comparison, so the checks are written to pass only finite values
+        if not 0 <= self.l1_lambda < math.inf:
+            raise ParameterError(f"l1_lambda must be finite and >= 0, got {self.l1_lambda!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ParameterError(f"learning_rate must be finite and positive, "
+                                 f"got {self.learning_rate!r}")
         if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
             raise ParameterError("patience, max_epochs, and batch_size must be >= 1")
 

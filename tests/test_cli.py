@@ -97,6 +97,16 @@ def test_negative_seed_fails_with_one_line(tmp_path, corpus_dir, capsys, command
     assert not out.exists()
 
 
+def test_synth_into_a_path_under_a_regular_file_fails_with_one_line(tmp_path, small_cfg, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    capsys.readouterr()
+    assert main(["synth", "--config", str(small_cfg), "--out", str(blocker / "corpus")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("I/O error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -157,6 +167,23 @@ def test_train_explicit_learning_rate_overrides_profile(tmp_path, corpus_dir):
     ])
     assert code == 0
     assert load_checkpoint(ckpt).extras["learning_rate"] == "0.0005"
+
+
+@pytest.mark.parametrize("flag,value,field", [("--lambda", "nan", "l1_lambda"),
+                                              ("--lr", "inf", "learning_rate")])
+def test_train_rejects_a_non_finite_number_in_one_line(tmp_path, corpus_dir, capsys, flag, value,
+                                                       field):
+    ckpt = tmp_path / "nonfinite.ncrf"
+    capsys.readouterr()
+    code = main([
+        "train", "--data", str(corpus_dir / "manifest.txt"), flag, value,
+        "--out", str(ckpt), "--max-epochs", "1", "--patience", "1", "--hidden", "4",
+    ])
+    assert code == 1
+    assert not ckpt.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
 
 
 @pytest.mark.parametrize("flag", ["--hidden", "--channels"])

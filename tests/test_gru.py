@@ -46,7 +46,8 @@ def _add_const(a, c, tape=None):
 
 
 def composed_gru(features, params, candidate_tanh=False, tape=None):
-    """About 20 tape nodes per step; the fused layer must match it bit for bit."""
+    """About 20 tape nodes per step; the fused layer's states and losses
+    must match it bit for bit, its gradients within GRAD_BOUND."""
     m = features.shape[1]
     h = Tensor(np.zeros(params["gru.U_z"].shape[0]))
     in_z = affine(features, params["gru.W_z"], params["gru.b_z"], tape)
@@ -168,7 +169,7 @@ def test_gradients_through_five_steps(candidate_tanh):
 
 
 # ---------------------------------------------------------------------------
-# the fused layer against the composed reference, byte for byte
+# the fused layer against the composed reference
 # ---------------------------------------------------------------------------
 
 
@@ -202,9 +203,21 @@ def test_sigmoid_matches_masked_two_branch_form_bit_for_bit():
         assert _sigmoid(one).tobytes() == _masked_sigmoid(one).tobytes(), v
 
 
-# Each byte test below also runs at hidden width 13, where the BLAS
-# matvec's kernel grouping shows: a stacked [2H, H] or [3H, H] product
-# of the U matrices changes bits at 13 but not at 6, 12 or 16.
+# The forward and loss tests compare bytes, and also run at hidden width
+# 13, where the BLAS matvec's kernel grouping shows: a stacked [2H, H] or
+# [3H, H] product of the U matrices changes bits at 13 (and 125) but not
+# at 6, 12 or 16. The backward sums over time in GEMMs, not step by step
+# as the composed tape does, so gradients are compared within a bound.
+
+GRAD_BOUND = 1e-13  # relative to each array's largest reference magnitude
+
+
+def assert_grads_near(grads, reference, context):
+    """Each gradient within GRAD_BOUND of the reference's largest
+    magnitude; one that is all zero in the reference must be all zero."""
+    far = [name for name, ref in reference.items() if grads[name].shape != ref.shape
+           or not np.abs(grads[name] - ref).max() <= GRAD_BOUND * np.abs(ref).max()]
+    assert not far, (context, far)
 
 
 @pytest.mark.parametrize("candidate_tanh", [False, True])
@@ -237,7 +250,7 @@ def _loss_and_grads(config, params, record, weights):
     loss = record_loss(config, params, record, weights, training=True,
                        rng=np.random.default_rng(5), tape=tape)
     tape.backward(loss)
-    return loss.data.tobytes(), {name: tape.grad(t).tobytes() for name, t in params.items()}
+    return loss.data.tobytes(), {name: tape.grad(t) for name, t in params.items()}
 
 
 @pytest.mark.parametrize("kind", ["softmax", "crf", "crf2"])
@@ -246,12 +259,12 @@ def _loss_and_grads(config, params, record, weights):
 def test_record_loss_and_gradients_equal_composed_bytes(kind, candidate_tanh, cost_sensitive,
                                                         monkeypatch):
     weights = np.array([0.5, 1.0, 2.0, 3.0]) if cost_sensitive else None
-    for hidden in (12, 13):
+    for hidden, lengths in ((12, (1, 2, 9)), (13, (1, 2, 9)), (64, (120,)), (125, (120,))):
         config = desk_config(kind, hidden_dim=hidden, channels=8, candidate_tanh=candidate_tanh)
         params = init_params(config, 23)
         rng = np.random.default_rng(29)
         spe = config.sample_rate_hz * config.epoch_seconds
-        for m in (1, 2, 9):
+        for m in lengths:
             record = Record(f"r{m}", rng.normal(size=m * spe), rng.integers(0, 4, size=m),
                             sample_rate_hz=config.sample_rate_hz,
                             epoch_seconds=config.epoch_seconds)
@@ -261,16 +274,16 @@ def test_record_loss_and_gradients_equal_composed_bytes(kind, candidate_tanh, co
                 patch.setattr(ncrf.model, "gru_forward", composed_gru)
                 ref_loss, ref_grads = _loss_and_grads(config, params, record, weights)
             assert loss == ref_loss, (hidden, m)
-            mismatched = [name for name in params if grads[name] != ref_grads[name]]
-            assert not mismatched, (hidden, m, mismatched)
+            assert_grads_near(grads, ref_grads, (hidden, m))
 
 
 @pytest.mark.parametrize("candidate_tanh", [False, True])
 @pytest.mark.parametrize("upstream", ["negative_zero", "mixed"])
 @pytest.mark.parametrize("m", [1, 2, 6])
 def test_signed_zero_adjoints_equal_composed_bytes(candidate_tanh, upstream, m):
-    # An upstream adjoint of -0.0 shows whether the fused backward keeps the
-    # sign of zero that the composed tape's sums and scatter-adds give.
+    # An upstream adjoint of -0.0 gives zero gradients that must stay zero.
+    # Values are compared, so -0.0 equals 0.0: a GEMM's sum does not keep
+    # the sign of zero that the composed tape's sums and scatter-adds give.
     for hidden in (16, 13):
         rng = np.random.default_rng(8)
         params = gru_init(3, hidden, rng)
@@ -286,7 +299,6 @@ def test_signed_zero_adjoints_equal_composed_bytes(candidate_tanh, upstream, m):
             h = gru(params["Z"], params, candidate_tanh=candidate_tanh, tape=tape)
             loss = logsumexp(reshape(mul(h, weights, tape), (-1,), tape), tape=tape)
             tape.backward(loss)
-            return {name: tape.grad(t).tobytes() for name, t in params.items()}
+            return {name: tape.grad(t) for name, t in params.items()}
 
-        fused, reference = grads(gru_forward), grads(composed_gru)
-        assert [n for n in reference if fused[n] != reference[n]] == [], hidden
+        assert_grads_near(grads(gru_forward), grads(composed_gru), hidden)

@@ -61,6 +61,35 @@ def test_train_config_validation():
         TrainConfig(patience=0)
 
 
+@pytest.mark.parametrize("field", ["l1_lambda", "learning_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite_numbers_by_name(field, value):
+    with pytest.raises(ParameterError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_patience_stops_a_run_that_does_not_improve():
+    # at this learning rate no step moves a weight, so validation kappa
+    # never rises past epoch 1's and one stalled epoch ends the run
+    records = synth_generate(SynthConfig(num_subjects=6, epochs_per_subject=20, seed=5))
+    train_records, validation_records, _ = split_by_subject(records, seed=5)
+    checkpoint, history = train(train_records, validation_records,
+                                TrainConfig(max_epochs=50, patience=1, learning_rate=1e-300))
+    assert [h.epoch for h in history] == [1, 2]
+    assert checkpoint.epoch == 1
+
+
+def test_records_of_two_geometries_are_rejected(corpus):
+    train_records, validation_records, _ = corpus
+    other = validation_records[0]
+    assert other.epoch_seconds % 2 == 0
+    # the same samples per epoch, at twice the rate over half the seconds
+    odd = Record(other.subject_id, other.signal, other.labels,
+                 sample_rate_hz=other.sample_rate_hz * 2, epoch_seconds=other.epoch_seconds // 2)
+    with pytest.raises(ParameterError, match="records disagree on rate/epoch geometry"):
+        train(train_records, [odd] + validation_records[1:], quick_config())
+
+
 def test_training_is_bitwise_deterministic(corpus, tmp_path):
     tr, va, _ = corpus
     ckpt_a, hist_a = train(tr, va, quick_config())
@@ -400,6 +429,17 @@ def test_malformed_checkpoint_fields_raise_format_error(tiny_checkpoint, tmp_pat
     bad = tmp_path / "bad.ncrf"
     bad.write_bytes(blob.replace(old, new))
     with pytest.raises(CheckpointFormatError):
+        load_checkpoint(bad)
+
+
+def test_implausible_array_rank_is_rejected(tiny_checkpoint, tmp_path):
+    # magic, version and array count, then the first array's name and rank
+    blob = bytearray(tiny_checkpoint.read_bytes())
+    name_len, = struct.unpack_from("<I", blob, 12)
+    struct.pack_into("<I", blob, 16 + name_len, 9)
+    bad = tmp_path / "rank9.ncrf"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="implausible rank 9"):
         load_checkpoint(bad)
 
 
