@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ModelParams, Tape, Tensor, grad_check
-from .cnn import CnnConfig, ConvLayerSpec, desk_cnn_config, paper_cnn_config
-from .crf import (CrfPotentials, cost_sensitive_loss, crf_init, crf_nll, log_partition,
-                  potentials_from_hidden)
+from .autodiff import ModelParams, Tensor, grad_check
+from .cnn import CnnConfig, ConvLayerSpec
+from .crf import CrfPotentials, cost_sensitive_loss, crf_init, crf_nll, potentials_from_hidden
 from .data import (
     STAGE_TOKENS,
     Record,
@@ -31,33 +30,27 @@ from .data import (
 from .errors import NcrfError, ParameterError
 from .gru import gru_forward, gru_init
 from .metrics import write_report
-from .model import ModelConfig, decode_record, evaluate, hidden_states, init_params, record_loss
+from .model import (MODEL_KINDS, ModelConfig, decode_record, desk_config, evaluate,
+                    expected_moves, init_params, paper_config, record_loss)
 from .saliency import export_saliency, saliency_map
-from .training import (
-    Checkpoint,
-    TrainConfig,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    write_history,
-)
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train, write_history
 
 GRADCHECK_FAIL_THRESHOLD = 1e-3
+# --profile -> (model config with the profile's geometry and sizes, default Adam learning rate)
+PROFILES = {"desk": (desk_config, 1e-3), "paper": (paper_config, 1e-4)}
 
 
-def _profile_geometry(args) -> tuple[int, int]:
-    rate, epoch_s = (32, 30) if args.profile == "paper" else (4, 4)
-    if args.sample_rate is not None:
-        rate = args.sample_rate
-    if args.epoch_seconds is not None:
-        epoch_s = args.epoch_seconds
-    return rate, epoch_s
-
-
-def _cnn_for(args):
-    if args.profile == "paper":
-        return paper_cnn_config(channels=256 if args.channels is None else args.channels)
-    return desk_cnn_config(channels=32 if args.channels is None else args.channels)
+def _records(args, config: ModelConfig, subject: str | None = None) -> list[Record]:
+    """The records of ``args.data`` at the model's geometry; only ``subject``'s if one is named."""
+    records = load_records(
+        args.data, sample_rate_hz=config.sample_rate_hz, epoch_seconds=config.epoch_seconds
+    )
+    if subject is None:
+        return records
+    records = [r for r in records if r.subject_id == subject]
+    if not records:
+        raise ParameterError(f"subject {subject!r} not in manifest")
+    return records
 
 
 def cmd_synth(args) -> int:
@@ -72,21 +65,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rate, epoch_s = _profile_geometry(args)
-    records = load_records(args.data, sample_rate_hz=rate, epoch_seconds=epoch_s)
-    train_recs, val_recs, _ = split_by_subject(records, seed=args.seed)
-    lr = args.lr if args.lr is not None else (1e-4 if args.profile == "paper" else 1e-3)
+    make_config, default_lr = PROFILES[args.profile]
+    sizes = {"hidden_dim": args.hidden, "channels": args.channels}
+    model = make_config(args.model, **{k: v for k, v in sizes.items() if v is not None})
+    train_recs, val_recs, _ = split_by_subject(_records(args, model), seed=args.seed)
     config = TrainConfig(
         model_kind=args.model,
         cost_sensitive=args.cost_sensitive,
         l1_lambda=getattr(args, "lambda"),
-        learning_rate=lr,
+        learning_rate=default_lr if args.lr is None else args.lr,
         max_epochs=args.max_epochs,
         patience=args.patience,
         batch_size=args.batch,
         seed=args.seed,
-        hidden_dim=(125 if args.profile == "paper" else 64) if args.hidden is None else args.hidden,
-        cnn=_cnn_for(args),
+        hidden_dim=model.hidden_dim,
+        cnn=model.cnn,
     )
     checkpoint, history = train(train_recs, val_recs, config)
     save_checkpoint(args.out, checkpoint)
@@ -100,24 +93,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_split(checkpoint: Checkpoint, args) -> list:
-    cfg = checkpoint.model_config
-    records = load_records(
-        args.data, sample_rate_hz=cfg.sample_rate_hz, epoch_seconds=cfg.epoch_seconds
-    )
-    seed = args.seed if args.seed is not None else checkpoint.seed
-    if args.split == "all":
-        return records
-    splits = dict(zip(("train", "val", "test"), split_by_subject(records, seed=seed)))
-    chosen = splits[args.split]
-    if not chosen:
-        raise ParameterError(f"split {args.split!r} is empty")
-    return chosen
-
-
 def cmd_eval(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    records = _load_split(checkpoint, args)
+    records = _records(args, checkpoint.model_config)
+    if args.split != "all":
+        seed = args.seed if args.seed is not None else checkpoint.seed
+        records = split_by_subject(records, seed=seed)[("train", "val", "test").index(args.split)]
+        if not records:
+            raise ParameterError(f"split {args.split!r} is empty")
     report = evaluate(checkpoint.model_config, checkpoint.params, records)
     paths = write_report(report, args.out)
     print(
@@ -132,13 +115,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     cfg = checkpoint.model_config
-    records = load_records(
-        args.data, sample_rate_hz=cfg.sample_rate_hz, epoch_seconds=cfg.epoch_seconds
-    )
-    if args.subject is not None:
-        records = [r for r in records if r.subject_id == args.subject]
-        if not records:
-            raise ParameterError(f"subject {args.subject!r} not in manifest")
+    records = _records(args, cfg, args.subject)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for rec in records:
@@ -151,14 +128,7 @@ def cmd_predict(args) -> int:
 
 def cmd_saliency(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    cfg = checkpoint.model_config
-    records = load_records(
-        args.data, sample_rate_hz=cfg.sample_rate_hz, epoch_seconds=cfg.epoch_seconds
-    )
-    matches = [r for r in records if r.subject_id == args.subject]
-    if not matches:
-        raise ParameterError(f"subject {args.subject!r} not in manifest")
-    record = matches[0]
+    record = _records(args, checkpoint.model_config, args.subject)[0]
     weights = saliency_map(checkpoint, record, args.epoch, target=args.target)
     spe = record.samples_per_epoch
     signal_slice = record.signal[args.epoch * spe : (args.epoch + 1) * spe]
@@ -256,18 +226,11 @@ def cmd_inspect(args) -> int:
     cfg, params = checkpoint.model_config, checkpoint.params
     if cfg.crf_order == 0:
         raise ParameterError("inspect needs a crf or crf2 checkpoint")
-    t1 = params["crf.T1"]
     if args.data:
-        # d log Z / d T1 summed over the records: the model's expected number of i -> j moves
-        counts = np.zeros(t1.shape)
-        for rec in load_records(args.data, sample_rate_hz=cfg.sample_rate_hz,
-                                epoch_seconds=cfg.epoch_seconds):
-            hidden = hidden_states(cfg, params, Tensor(rec.signal.reshape(1, -1)))
-            tape = Tape()
-            tape.backward(log_partition(potentials_from_hidden(hidden, params), tape))
-            counts += tape.grad(t1)
+        counts = expected_moves(cfg, params, _records(args, cfg))
     else:
-        counts = np.exp(t1.data - t1.data.max(axis=1, keepdims=True))
+        t1 = params["crf.T1"].data
+        counts = np.exp(t1 - t1.max(axis=1, keepdims=True))
     leaving = counts.sum(axis=1, keepdims=True)
     if not (leaving > 0.0).all():
         raise ParameterError("the records give some stage no expected move out of it")
@@ -299,20 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a manifest")
     p.add_argument("--data", required=True, help="manifest path")
-    p.add_argument("--model", choices=("softmax", "crf", "crf2"), default="crf")
+    p.add_argument("--model", choices=MODEL_KINDS, default="crf")
     p.add_argument("--cost-sensitive", action="store_true")
     p.add_argument("--lambda", type=float, default=0.005, help="L1 strength on CRF params")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", help="history CSV path (default: next to checkpoint)")
-    p.add_argument("--profile", choices=("desk", "paper"), default="desk")
-    p.add_argument("--sample-rate", type=int, help="override profile sample rate")
-    p.add_argument("--epoch-seconds", type=int, help="override profile epoch length")
-    p.add_argument("--hidden", type=int, help="GRU width (default 64 desk / 125 paper)")
-    p.add_argument("--channels", type=int, help="CNN channels (default 32 desk / 256 paper)")
+    p.add_argument("--profile", choices=tuple(PROFILES), default="desk",
+                   help="record geometry and default sizes")
+    p.add_argument("--hidden", type=int, help="GRU width (default: the profile's)")
+    p.add_argument("--channels", type=int, help="CNN channels (default: the profile's)")
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--lr", type=float, help="Adam learning rate (default 1e-3 desk / 1e-4 paper)")
+    p.add_argument("--lr", type=float, help="Adam learning rate (default: the profile's)")
     p.add_argument("--batch", type=int, default=1)
     p.set_defaults(func=cmd_train)
 

@@ -48,7 +48,3 @@ class EmptySequenceError(ParameterError):
 
 class CheckpointFormatError(NcrfError):
     """Checkpoint bytes violate the documented container format."""
-
-
-class KindMismatchError(NcrfError):
-    """A checkpoint trained for one output layer was used as another."""

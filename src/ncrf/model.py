@@ -176,6 +176,20 @@ def decode_record(config: ModelConfig, params: ModelParams, record: Record) -> n
     return np.asarray(path, dtype=np.intp)
 
 
+def expected_moves(config: ModelConfig, params: ModelParams, records: list[Record]) -> np.ndarray:
+    """[K, K] sum over records of d log Z / d T1: the model's expected
+    number of i -> j moves given each record's signal."""
+    t1 = params["crf.T1"]
+    counts = np.zeros(t1.shape)
+    for rec in records:
+        check_record(config, rec)
+        hidden = hidden_states(config, params, _signal_tensor(rec))
+        tape = Tape()
+        tape.backward(crf_ops.log_partition(crf_ops.potentials_from_hidden(hidden, params), tape))
+        counts += tape.grad(t1)
+    return counts
+
+
 def evaluate(config: ModelConfig, params: ModelParams, records: list[Record]) -> EvalReport:
     if not records:
         raise ParameterError("evaluation needs at least one record")

@@ -24,13 +24,7 @@ from .autodiff import ModelParams, Tape, Tensor
 from .cnn import CnnConfig, ConvLayerSpec, desk_cnn_config
 from .crf import l1_prox
 from .data import Record, class_prior
-from .errors import (
-    CheckpointFormatError,
-    KindMismatchError,
-    NcrfError,
-    NumericError,
-    ParameterError,
-)
+from .errors import CheckpointFormatError, NcrfError, NumericError, ParameterError
 from .model import ModelConfig, evaluate, init_params, param_shapes, record_loss
 from .rng import SplitRng
 
@@ -82,13 +76,6 @@ class Checkpoint:
     epoch: int
     val_kappa: float
     extras: dict[str, str] = field(default_factory=dict)
-
-    def require_kind(self, expected: str) -> None:
-        if self.model_config.model_kind != expected:
-            raise KindMismatchError(
-                f"checkpoint was trained as {self.model_config.model_kind!r}, "
-                f"not {expected!r}"
-            )
 
 
 class Adam:

@@ -23,12 +23,11 @@ from ncrf.crf import (
     crf_nll,
     log_partition,
     marginals,
-    potentials_from_hidden,
     viterbi,
 )
 from ncrf.data import SynthConfig, skewed_config, split_by_subject, synth_generate
 from ncrf.metrics import kappa, kappa_from_confusion, se_mae, sleep_efficiency
-from ncrf.model import evaluate, hidden_states
+from ncrf.model import evaluate, expected_moves
 from ncrf.training import TrainConfig, train
 from primitives import (
     add,
@@ -288,26 +287,13 @@ def test_criterion_4_cost_sensitive_recall():
 # ---------------------------------------------------------------------------
 
 
-def _expected_transition_counts(checkpoint, records) -> np.ndarray:
-    """Sum over records of d log Z / d T1: the model's expected number of
-    i -> j moves given each record's signal."""
-    params = checkpoint.params
-    counts = np.zeros((K, K))
-    for rec in records:
-        hidden = hidden_states(checkpoint.model_config, params, Tensor(rec.signal.reshape(1, -1)))
-        tape = Tape()
-        tape.backward(log_partition(potentials_from_hidden(hidden, params, tape), tape))
-        counts += tape.grad(params["crf.T1"])
-    return counts
-
-
 @pytest.mark.slow
 def test_criterion_5_transition_recovery(structured_runs, default_corpus):
     # T1 alone is not identified: adding c_j to column j of T1 and -c_j to
     # S[t, j] for t >= 1 leaves every sequence score unchanged, and the GRU
     # may carry a rule in S. So the check is on the model's own P(j | i).
-    counts = _expected_transition_counts(structured_runs["crf"]["checkpoint"],
-                                         default_corpus[2])
+    checkpoint = structured_runs["crf"]["checkpoint"]
+    counts = expected_moves(checkpoint.model_config, checkpoint.params, default_corpus[2])
     conditional = counts / counts.sum(axis=1, keepdims=True)
     forbidden = np.argwhere(SynthConfig().transition_matrix == 0.0)
     assert len(forbidden)

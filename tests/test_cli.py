@@ -1,19 +1,24 @@
+import contextlib
 import hashlib
+import io
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncrf
 from ncrf.autodiff import Tensor
-from ncrf.cli import main
+from ncrf.cli import PROFILES, main
 from ncrf.crf import _enumerate_scores, potentials_from_hidden
 from ncrf.data import SynthConfig, load_records, save_synth_config, synth_generate, write_corpus
-from ncrf.model import desk_config, hidden_states, init_params
+from ncrf.model import MODEL_KINDS, desk_config, hidden_states, init_params, paper_config
 from ncrf.training import Checkpoint, load_checkpoint, save_checkpoint
 
 
@@ -28,6 +33,16 @@ def small_cfg(tmp_path_factory):
 def corpus_dir(tmp_path_factory, small_cfg):
     out = tmp_path_factory.mktemp("corpus")
     assert main(["synth", "--config", str(small_cfg), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def paper_corpus_dir(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("paper_cfg") / "synth.txt"
+    save_synth_config(SynthConfig(num_subjects=5, epochs_per_subject=2, sample_rate=32,
+                                  epoch_seconds=30, seed=13), cfg)
+    out = tmp_path_factory.mktemp("paper_corpus")
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
     return out
 
 
@@ -141,22 +156,32 @@ def test_train_determinism_byte_identical(tmp_path, corpus_dir):
     assert outs[0] == outs[1]
 
 
-def test_train_learning_rate_defaults_by_profile(tmp_path, corpus_dir, trained):
-    assert load_checkpoint(trained).extras["learning_rate"] == "0.001"  # desk default
+def test_train_learning_rate_defaults_by_profile(tmp_path, corpus_dir, paper_corpus_dir):
+    # the profile's model config, sizes and learning rate come back from the checkpoint
+    ckpt = tmp_path / "desk.ncrf"
+    code = main([
+        "train", "--data", str(corpus_dir / "manifest.txt"), "--model", "softmax",
+        "--out", str(ckpt), "--max-epochs", "1", "--patience", "1",
+    ])
+    assert code == 0
+    assert load_checkpoint(ckpt).model_config == desk_config("softmax")
+    assert load_checkpoint(ckpt).extras["learning_rate"] == "0.001"
 
-    paper_cfg = tmp_path / "paper.txt"
-    save_synth_config(SynthConfig(num_subjects=5, epochs_per_subject=2, sample_rate=32,
-                                  epoch_seconds=30, seed=13), paper_cfg)
-    paper_corpus = tmp_path / "paper"
-    assert main(["synth", "--config", str(paper_cfg), "--out", str(paper_corpus)]) == 0
     ckpt = tmp_path / "paper.ncrf"
     code = main([
-        "train", "--data", str(paper_corpus / "manifest.txt"), "--profile", "paper",
+        "train", "--data", str(paper_corpus_dir / "manifest.txt"), "--profile", "paper",
         "--channels", "2", "--hidden", "3", "--out", str(ckpt),
         "--max-epochs", "1", "--patience", "1",
     ])
     assert code == 0
+    assert load_checkpoint(ckpt).model_config == paper_config("crf", hidden_dim=3, channels=2)
     assert load_checkpoint(ckpt).extras["learning_rate"] == "0.0001"
+
+    # the profile fixes the samples per epoch, so there is no geometry flag to relabel them
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(corpus_dir / "manifest.txt"), "--sample-rate", "8",
+              "--out", str(tmp_path / "rate.ncrf")])
+    assert exc.value.code == 2
 
 
 def test_train_explicit_learning_rate_overrides_profile(tmp_path, corpus_dir):
@@ -198,6 +223,60 @@ def test_train_rejects_a_zero_size_in_one_line(tmp_path, corpus_dir, capsys, fla
     assert not ckpt.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# flag -> (values a run accepts, None leaving the flag out; values it must refuse)
+TRAIN_FLAGS = {
+    "--lambda": ([None, "0", "0.005"], ["nan", "inf", "-inf", "-0.5"]),
+    "--lr": ([None, "0.01"], ["nan", "inf", "-inf", "-0.001", "0"]),
+    "--max-epochs": (["1", "2"], ["0", "-1"]),
+    "--seed": ([None, "1", "2"], ["-1"]),
+    **{flag: ([None, "1", "2"], ["0", "-1"])
+       for flag in ("--hidden", "--channels", "--batch", "--patience")},
+}
+
+
+@st.composite
+def train_argv(draw):
+    """Flags for ``train`` with at most two refused values, its profile, and whether
+    any refused value was drawn."""
+    hostile = draw(st.sets(st.sampled_from(sorted(TRAIN_FLAGS)), max_size=2))
+    profile = draw(st.sampled_from(tuple(PROFILES)))
+    argv = ["--profile", profile, "--model", draw(st.sampled_from(MODEL_KINDS))]
+    argv += ["--cost-sensitive"] * draw(st.booleans())
+    for flag, (accepted, refused) in TRAIN_FLAGS.items():
+        value = draw(st.sampled_from(refused if flag in hostile else accepted))
+        if value is not None:
+            argv.append(f"{flag}={value}")  # "=" keeps "-inf" a value, not an option
+    return argv, profile, bool(hostile)
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.ncrf"
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.sampled_from(tuple(PROFILES)), drawn=train_argv())
+def test_train_on_drawn_flags_exits_cleanly(corpus_dir, paper_corpus_dir, fuzz_out, data, drawn):
+    # success, or one "error: " line and no checkpoint; a refused value or a corpus
+    # of the other profile's geometry always fails; never a traceback or a warning
+    flags, profile, hostile = drawn
+    manifest = (corpus_dir if data == "desk" else paper_corpus_dir) / "manifest.txt"
+    argv = ["train", "--data", str(manifest), "--out", str(fuzz_out), *flags]
+    fuzz_out.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")  # outside a test each one reaches stderr
+        code = main(argv)
+    assert code in (0, 1), argv
+    if hostile or profile != data:
+        assert code == 1, argv
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+            (argv, err.getvalue())
+        assert caught == [] and out.getvalue() == "" and not fuzz_out.exists(), argv
 
 
 def test_eval_writes_summary_with_exact_keys(tmp_path, corpus_dir, trained):

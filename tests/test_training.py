@@ -12,12 +12,7 @@ from ncrf import training
 from ncrf.autodiff import ModelParams, Tape, Tensor
 from ncrf.cnn import CnnConfig, ConvLayerSpec
 from ncrf.data import Record, SynthConfig, synth_generate, split_by_subject
-from ncrf.errors import (
-    CheckpointFormatError,
-    KindMismatchError,
-    NumericError,
-    ParameterError,
-)
+from ncrf.errors import CheckpointFormatError, NumericError, ParameterError
 from ncrf.model import (
     MODEL_KINDS,
     ModelConfig,
@@ -363,14 +358,6 @@ def test_bad_magic_and_version_rejected(corpus, tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(CheckpointFormatError, match="version"):
         load_checkpoint(bad)
-
-
-def test_kind_mismatch_guard(corpus):
-    tr, va, _ = corpus
-    ckpt, _ = train(tr, va, quick_config(max_epochs=1, patience=1))
-    with pytest.raises(KindMismatchError):
-        ckpt.require_kind("softmax")
-    ckpt.require_kind("crf")  # no raise
 
 
 def test_trailing_garbage_rejected(corpus, tmp_path):
