@@ -27,7 +27,7 @@ from .data import (
     synth_generate,
     write_corpus,
 )
-from .errors import NcrfError, ParameterError
+from .errors import NcrfError, NumericError, ParameterError
 from .gru import gru_forward, gru_init
 from .metrics import write_report
 from .model import (MODEL_KINDS, ModelConfig, decode_record, desk_config, evaluate,
@@ -81,7 +81,10 @@ def cmd_train(args) -> int:
         hidden_dim=model.hidden_dim,
         cnn=model.cnn,
     )
-    checkpoint, history = train(train_recs, val_recs, config)
+    try:
+        checkpoint, history = train(train_recs, val_recs, config)
+    except NumericError as e:  # records load finite: name the rate, overflow's usual cause
+        raise NumericError(f"{e} (learning rate {config.learning_rate!r})") from e
     save_checkpoint(args.out, checkpoint)
     history_path = args.history or str(Path(args.out).with_suffix(".history.csv"))
     write_history(history, history_path)

@@ -236,22 +236,30 @@ def _same_geometry(t_in: int, width: int, stride: int) -> tuple[int, int, int]:
 
 
 def _im2col(x: np.ndarray, width: int, stride: int, pad_left: int, t_out: int):
-    """Yield (t0, cols): the [b, C_in*W] windows, from output column t0 on,
+    """Yield (t0, cols): the [C_in*W, b] windows, from output column t0 on,
     of the input zero-padded by pad_left columns on the left (and as needed
-    on the right), in blocks of at most _CONV_CHUNK elements. Only a block
-    that reaches into the padding copies and pads its own slice; callers
+    on the right), in blocks of at most _CONV_CHUNK elements; row c*W + w
+    holds tap w of channel c. The generator binds no block, and callers
     delete each block before asking for the next, so one is alive."""
-    c_in, t_in = x.shape
+    c_in = x.shape[0]
     chunk = max(1, _CONV_CHUNK // (c_in * width))
     for t0 in range(0, t_out, chunk):
-        b = min(chunk, t_out - t0)
-        lo = t0 * stride - pad_left  # the block's input span [lo, hi) in unpadded columns
-        hi = lo + (b - 1) * stride + width
-        xs = x[:, max(lo, 0) : min(hi, t_in)]
-        if lo < 0 or hi > t_in:
-            xs = np.pad(xs, ((0, 0), (max(0, -lo), max(0, hi - t_in))))
-        blk = np.lib.stride_tricks.sliding_window_view(xs, width, axis=1)[:, ::stride, :]
-        yield t0, blk.transpose(1, 0, 2).reshape(b, c_in * width)
+        yield t0, _cols(x, width, stride, t0 * stride - pad_left, min(chunk, t_out - t0))
+
+
+def _cols(x: np.ndarray, width: int, stride: int, lo: int, b: int) -> np.ndarray:
+    """The im2col block whose column j reads input columns lo + j*stride + w:
+    one strided copy per tap w, with zeros only where that falls outside x."""
+    c_in, t_in = x.shape
+    cols = np.empty((c_in, width, b))
+    for w in range(width):
+        start = lo + w
+        j0 = min(b, max(0, -(start // stride)))  # the first column inside x
+        j1 = min(b, max(j0, -((start - t_in) // stride)))  # one past the last
+        cols[:, w, :j0] = 0.0
+        cols[:, w, j1:] = 0.0
+        cols[:, w, j0:j1] = x[:, start + j0 * stride : start + j1 * stride : stride]
+    return cols.reshape(c_in * width, b)
 
 
 def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
@@ -280,12 +288,13 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
     kmat = dk.reshape(c_out, c_in * width)
     y = None
     for t0, cols in _im2col(dx, width, stride, pad_l, t_conv):
-        if len(cols) == t_conv:  # one block: the product is the output, with no copy
-            y = kmat @ cols.T
+        b = cols.shape[1]
+        if b == t_conv:  # one block: the product is the output, with no copy
+            y = kmat @ cols
         else:
             if y is None:
                 y = np.empty((c_out, t_conv))
-            y[:, t0 : t0 + len(cols)] = kmat @ cols.T
+            y[:, t0 : t0 + b] = kmat @ cols
         del cols
     y += bias.data[:, None]
     np.maximum(y, 0.0, out=y)
@@ -330,7 +339,7 @@ def _conv_layer(x: Tensor, kernels: Tensor, bias: Tensor, layer: ConvLayerSpec,
             gy *= scale
         gk = np.zeros((c_out, c_in * width))
         for t0, cols in _im2col(dx, width, stride, pad_l, t_conv):
-            gk += gy[:, t0 : t0 + len(cols)] @ cols
+            gk += gy[:, t0 : t0 + cols.shape[1]] @ cols.T
             del cols
         dx = None  # last use: a produced input, which the tape keeps by id only, is freed
         # rows of kmat.T @ gy in blocks of whole input channels, at most a

@@ -3,9 +3,12 @@
 The update and reset gates are standard sigmoids. The candidate state
 is 2*sigmoid(x) - 1 by default, matching the model this implements as
 printed; ``candidate_tanh=True`` swaps in the textbook tanh (the two
-differ only by the inner argument scale). Either way the hidden state
-is a convex combination of the previous state and a value in (-1, 1),
-so with a zero initial state every coordinate stays inside (-1, 1).
+differ only by the inner argument scale). Every gate is computed as one
+tanh through sigmoid(v) = 1/2 + tanh(v/2)/2 and 2*sigmoid(v) - 1 =
+tanh(v/2), which moves the states from the exp form's by round-off
+only. Either way the hidden state is a convex combination of the
+previous state and a value in (-1, 1), so with a zero initial state
+every coordinate stays inside (-1, 1).
 
 On a tape the layer is one node, input projections included, whose
 backward is hand-written backpropagation through time. Its states and
@@ -22,15 +25,6 @@ import numpy as np
 
 from .autodiff import ModelParams, Tape, Tensor
 from .errors import DimensionError, EmptySequenceError
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    """``1/(1+exp(-v))`` for v >= 0 and ``exp(v)/(1+exp(v))`` below, so
-    exp never overflows; ``min(v, -v)`` keeps a NaN's sign. As 0 <= e <= 1,
-    ``fmax(e, sign(v))`` is 1 for v >= 0 and e below; for a NaN it is e's
-    NaN, the first of two, which the divide passes on."""
-    e = np.exp(np.minimum(v, -v))
-    return np.fmax(e, np.sign(v)) / (e + 1.0)
 
 
 def gru_init(feature_dim: int, hidden_dim: int, rng: np.random.Generator) -> ModelParams:
@@ -63,45 +57,43 @@ def gru_forward(
     f = features.data
     wz, bz, wr, br, wh, bh, uz, ur, uh = (t.data for t in inputs)
 
-    # gate input projections for every step at once, one row per step;
-    # the z and r rows are side by side so that one sigmoid serves both
-    xz, xr, xh = wz @ f + bz[:, None], wr @ f + br[:, None], wh @ f + bh[:, None]
-    xzr, xh = np.concatenate((xz, xr)).T.copy(), xh.T.copy()
+    # every gate is one tanh of its pre-activation times s, which halving the
+    # U and the input projections once gives exactly: s is 1/2, or 1 for the
+    # tanh candidate. x[t] holds step t's scaled z, r and h input projections.
+    s = 1.0 if candidate_tanh else 0.5
+    scales = np.array([0.5, 0.5, s])[:, None, None]
+    x = np.stack((wz @ f + bz[:, None], wr @ f + br[:, None], wh @ f + bh[:, None])) * scales
+    x = x.transpose(2, 0, 1).copy()
+    u3 = np.stack((uz, ur, uh)) * scales
 
-    # hs[t + 1] is the state after step t, hs[0] the zero state. Each U
-    # keeps its own matvec on a contiguous row: a stacked product, or a
-    # strided h, changes which BLAS kernel runs and so its bits. ndarray.dot
-    # makes the same BLAS call as `@` with less dispatch.
+    # hs[t + 1] is the state after step t, hs[0] the zero state. gs[t] holds
+    # step t's three scaled U @ h products, one BLAS matvec each with the
+    # bits of U.dot(h); its z and r rows and its candidate row are gzr and gh.
     n = uz.shape[0]
-    hs = np.zeros((m + 1, n))
-    steps = [] if tape is not None else None  # per-step values backward reads
+    hs, gs = np.zeros((m + 1, n)), np.empty((m, 3, n))
+    xzr, xh, gzr, gh = x[:, :2], x[:, 2], gs[:, :2], gs[:, 2]
+    steps = [] if tape is not None else None  # per-step gates and candidates backward reads
     for t in range(m):
         h = hs[t]
-        zr = _sigmoid(np.concatenate((uz.dot(h), ur.dot(h))) + xzr[t])
-        u, r = zr[:n], zr[n:]
-        mh = uh.dot(h)
-        pre = xh[t] + r * mh
-        if candidate_tanh:
-            act = cand = np.tanh(pre)
-        else:
-            act = _sigmoid(pre)
-            cand = act * 2.0 - 1.0
-        keep = 1.0 - u
+        np.matmul(u3, h, out=gs[t])
+        zr = np.tanh(gzr[t] + xzr[t]) * 0.5 + 0.5
+        u, r = zr
+        cand = np.tanh(xh[t] + r * gh[t])
+        np.add(u * h, (1.0 - u) * cand, out=hs[t + 1])
         if steps is not None:
-            steps.append((zr, mh, act))
-        np.add(u * h, keep * cand, out=hs[t + 1])
+            steps.append((zr, cand))
     out = Tensor(hs[1:].T.copy())
 
     if tape is not None:
         # the loop's values again, as whole arrays with the same bits
-        zr, mh, act = (np.array(a) for a in zip(*steps))
-        u, r = zr[:, :n], zr[:, n:]
-        cand = act if candidate_tanh else act * 2.0 - 1.0
+        zr, cands = (np.array(a) for a in zip(*steps))
+        u, r = zr[:, 0], zr[:, 1]
         # c = (1 - u) * d cand / d pre, so step t's g_pre is c[t] times
-        # the adjoint of the state it makes
-        c = (1.0 - u) * (1.0 - act * act if candidate_tanh else 2.0 * act * (1.0 - act))
+        # the adjoint of the state it makes; gh / s is U_h h, exactly
+        c = (1.0 - u) * (1.0 - cands * cands) * s
         # row t turns that adjoint into the z, r and candidate gate adjoints
-        f3 = np.stack(((hs[:m] - cand) * u * (1.0 - u), c * mh * r * (1.0 - r), c * r), axis=1)
+        f3 = np.stack(((hs[:m] - cands) * u * (1.0 - u), c * (gh / s) * r * (1.0 - r), c * r),
+                      axis=1)
 
         def bw(g):
             # dhs[t] becomes the adjoint of the state after step t; g3[t]

@@ -138,6 +138,9 @@ def _record_gradients(
     return value, {name: tape.grad(t) for name, t in params.items()}
 
 
+# overflow from weights a large learning rate blew up reaches the finite
+# checks (CRF scores, loss, gradient norm) as NumericError, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_records: list[Record],
     validation_records: list[Record],

@@ -33,7 +33,6 @@ from ncrf.cnn import _CONV_CHUNK
 from ncrf.crf import CrfPotentials, _chain
 from ncrf.data import _PHASE, Record, SleepStage, SynthConfig
 from ncrf.errors import DimensionError, ParameterError
-from ncrf.gru import _sigmoid
 from ncrf.rng import SplitRng
 
 
@@ -202,7 +201,8 @@ def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
 
 
 def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
-    s = _sigmoid(np.asarray(x.data))
+    """``1/2 + tanh(x/2)/2``, the form the GRU computes its gates in."""
+    s = np.tanh(np.asarray(x.data) * 0.5) * 0.5 + 0.5
     out = Tensor(s)
     if tape is not None:
         tape.record(out, (x,), lambda g: (g * s * (1.0 - s),))
@@ -303,15 +303,16 @@ def conv1d(
 
     xp = np.pad(dx, ((0, 0), (pad_l, pad_r))) if (pad_l or pad_r) else dx
     windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=1)[:, ::stride, :]
-    # windows: [C_in, T_out, W] view; chunk the contiguous copy tensordot makes
+    # windows: [C_in, T_out, W] view; each chunk is copied to contiguous [C_in*W, b]
+    # columns, the layout of the fused layer's blocks
     chunk = max(1, _CONV_CHUNK // max(1, c_in * width))
     y = np.empty((c_out, t_out))
     kmat = dk.reshape(c_out, c_in * width)
     for t0 in range(0, t_out, chunk):
         blk = windows[:, t0 : t0 + chunk, :]  # [C_in, b, W]
         b = blk.shape[1]
-        cols = blk.transpose(1, 0, 2).reshape(b, c_in * width)
-        y[:, t0 : t0 + chunk] = kmat @ cols.T
+        cols = np.ascontiguousarray(blk.transpose(0, 2, 1)).reshape(c_in * width, b)
+        y[:, t0 : t0 + chunk] = kmat @ cols
     y += db[:, None]
     out = Tensor(y)
 
@@ -322,8 +323,8 @@ def conv1d(
             for t0 in range(0, t_out, chunk):
                 blk = windows[:, t0 : t0 + chunk, :]
                 b = blk.shape[1]
-                cols = blk.transpose(1, 0, 2).reshape(b, c_in * width)
-                gk += g[:, t0 : t0 + chunk] @ cols
+                cols = np.ascontiguousarray(blk.transpose(0, 2, 1)).reshape(c_in * width, b)
+                gk += g[:, t0 : t0 + chunk] @ cols.T
             gxp = np.zeros_like(xp)
             gcols = kmat.T @ g  # [C_in*W, T_out]
             gcols = gcols.reshape(c_in, width, t_out)

@@ -211,6 +211,22 @@ def test_train_rejects_a_non_finite_number_in_one_line(tmp_path, corpus_dir, cap
     assert field in err
 
 
+def test_train_that_diverges_fails_in_one_line_naming_the_learning_rate(tmp_path, corpus_dir,
+                                                                        capsys):
+    # 1e300 is finite, so the run starts; its first step blows the weights up,
+    # and the next record's forward overflows into the CRF's finite check
+    ckpt = tmp_path / "diverged.ncrf"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(corpus_dir / "manifest.txt"), "--lr", "1e300",
+                     "--out", str(ckpt), "--max-epochs", "1", "--hidden", "4"])
+    assert code == 1 and not ckpt.exists() and caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "learning rate 1e+300" in err
+
+
 @pytest.mark.parametrize("flag", ["--hidden", "--channels"])
 def test_train_rejects_a_zero_size_in_one_line(tmp_path, corpus_dir, capsys, flag):
     # 0 is a size the user gave, not an unset option: validation must see it
@@ -228,7 +244,8 @@ def test_train_rejects_a_zero_size_in_one_line(tmp_path, corpus_dir, capsys, fla
 # flag -> (values a run accepts, None leaving the flag out; values it must refuse)
 TRAIN_FLAGS = {
     "--lambda": ([None, "0", "0.005"], ["nan", "inf", "-inf", "-0.5"]),
-    "--lr": ([None, "0.01"], ["nan", "inf", "-inf", "-0.001", "0"]),
+    # 1e300 passes the finite check, then overflows the weights after one step
+    "--lr": ([None, "0.01", "1e3", "1e10"], ["nan", "inf", "-inf", "-0.001", "0", "1e300"]),
     "--max-epochs": (["1", "2"], ["0", "-1"]),
     "--seed": ([None, "1", "2"], ["-1"]),
     **{flag: ([None, "1", "2"], ["0", "-1"])

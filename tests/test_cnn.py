@@ -264,18 +264,18 @@ def test_fused_layer_equals_composed_bytes(width, stride, window, c_in, c_out, r
        stride=st.integers(1, 3), chunk=st.integers(1, 80), seed=st.integers(0, 2**16))
 def test_im2col_blocks_equal_windows_of_the_padded_input(c_in, t_in, width, stride, chunk,
                                                         seed):
-    # small blocks: edge blocks pad their own slice, interior blocks are views
+    # small blocks: a block may reach into the padding on either side, or both
     x = np.random.default_rng(seed).normal(size=(c_in, t_in))
     t_out, pad_l, pad_r = cnn._same_geometry(t_in, width, stride)
     xp = np.pad(x, ((0, 0), (pad_l, pad_r)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=1)[:, ::stride, :]
-    expected = windows[:, :t_out].transpose(1, 0, 2).reshape(t_out, c_in * width)
-    rows = max(1, chunk // (c_in * width))
+    expected = windows[:, :t_out].transpose(0, 2, 1).reshape(c_in * width, t_out)
+    span = max(1, chunk // (c_in * width))
     with mock.patch.object(cnn, "_CONV_CHUNK", chunk):
         blocks = list(cnn._im2col(x, width, stride, pad_l, t_out))
-    assert [t0 for t0, _ in blocks] == list(range(0, t_out, rows))
-    assert all(len(cols) <= rows for _, cols in blocks)
-    assert np.concatenate([cols for _, cols in blocks]).tobytes() == expected.tobytes()
+    assert [t0 for t0, _ in blocks] == list(range(0, t_out, span))
+    assert all(cols.shape[1] <= span and cols.flags.c_contiguous for _, cols in blocks)
+    assert np.concatenate([cols for _, cols in blocks], axis=1).tobytes() == expected.tobytes()
 
 
 def test_fused_layer_matches_composed_at_paper_geometry():

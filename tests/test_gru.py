@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 import ncrf.model
 from ncrf.autodiff import ModelParams, Tape, Tensor, grad_check
 from ncrf.data import Record
-from ncrf.errors import EmptySequenceError
-from ncrf.gru import _sigmoid, gru_forward, gru_init
-from ncrf.model import desk_config, init_params, record_loss
-from primitives import add, affine, logsumexp, matmul, mul, neg, reshape, scale, sigmoid, tanh
+from ncrf.errors import EmptySequenceError, NumericError
+from ncrf.gru import gru_forward, gru_init
+from ncrf.model import decode_record, desk_config, init_params, record_loss
+from primitives import add, affine, logsumexp, matmul, mul, neg, reshape, scale, tanh
 
 # ---------------------------------------------------------------------------
 # reference: the same cell spelled out step by step in tape primitives, with
@@ -46,36 +46,30 @@ def _add_const(a, c, tape=None):
 
 
 def composed_gru(features, params, candidate_tanh=False, tape=None):
-    """About 20 tape nodes per step; the fused layer's states and losses
-    must match it bit for bit, its gradients within GRAD_BOUND."""
+    """About 22 tape nodes per step, spelling out the fused layer's
+    operations: every gate is a tanh of its pre-activation scaled by s,
+    through sigmoid(v) = 1/2 + tanh(v/2)/2 and 2*sigmoid(v) - 1 = tanh(v/2).
+    The fused layer's states and losses must match it bit for bit, its
+    gradients within GRAD_BOUND."""
     m = features.shape[1]
+    s = 1.0 if candidate_tanh else 0.5
     h = Tensor(np.zeros(params["gru.U_z"].shape[0]))
-    in_z = affine(features, params["gru.W_z"], params["gru.b_z"], tape)
-    in_r = affine(features, params["gru.W_r"], params["gru.b_r"], tape)
-    in_h = affine(features, params["gru.W_h"], params["gru.b_h"], tape)
+    in_z = scale(affine(features, params["gru.W_z"], params["gru.b_z"], tape), 0.5, tape)
+    in_r = scale(affine(features, params["gru.W_r"], params["gru.b_r"], tape), 0.5, tape)
+    in_h = scale(affine(features, params["gru.W_h"], params["gru.b_h"], tape), s, tape)
+    u_z, u_r = scale(params["gru.U_z"], 0.5, tape), scale(params["gru.U_r"], 0.5, tape)
+    u_h = scale(params["gru.U_h"], s, tape)
     states = []
     for t in range(m):
-        u = sigmoid(add(_col(in_z, t, tape), matmul(params["gru.U_z"], h, tape), tape), tape)
-        r = sigmoid(add(_col(in_r, t, tape), matmul(params["gru.U_r"], h, tape), tape), tape)
-        pre = add(_col(in_h, t, tape), mul(r, matmul(params["gru.U_h"], h, tape), tape), tape)
-        if candidate_tanh:
-            cand = tanh(pre, tape)
-        else:
-            cand = _add_const(scale(sigmoid(pre, tape), 2.0, tape), -1.0, tape)
+        u = _add_const(scale(tanh(add(matmul(u_z, h, tape), _col(in_z, t, tape), tape), tape),
+                             0.5, tape), 0.5, tape)
+        r = _add_const(scale(tanh(add(matmul(u_r, h, tape), _col(in_r, t, tape), tape), tape),
+                             0.5, tape), 0.5, tape)
+        cand = tanh(add(_col(in_h, t, tape), mul(r, matmul(u_h, h, tape), tape), tape), tape)
         keep = _add_const(neg(u, tape), 1.0, tape)
         h = add(mul(u, h, tape), mul(keep, cand, tape), tape)
         states.append(h)
     return _stack_cols(states, tape)
-
-
-def _masked_sigmoid(v):
-    """The two-branch form with boolean-mask indexing."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def zero_params(feature_dim, hidden_dim):
@@ -168,39 +162,66 @@ def test_gradients_through_five_steps(candidate_tanh):
     assert grad_check(loss, params, samples=50, rng=rng) < 1e-4
 
 
+def _exp_sigmoid(v):
+    """The exp form: ``1/(1+exp(-v))`` for v >= 0 and ``exp(v)/(1+exp(v))`` below."""
+    e = np.exp(np.minimum(v, -v))
+    return np.fmax(e, np.sign(v)) / (e + 1.0)
+
+
+def exp_form_gru(f, params, candidate_tanh):
+    """The textbook recurrence, one column at a time, with exp-form gates."""
+    p = {name[4:]: t.data for name, t in params.items()}
+    xz, xr, xh = (p[f"W_{g}"] @ f + p[f"b_{g}"][:, None] for g in "zrh")
+    h, states = np.zeros(p["U_z"].shape[0]), []
+    for t in range(f.shape[1]):
+        u = _exp_sigmoid(xz[:, t] + p["U_z"] @ h)
+        r = _exp_sigmoid(xr[:, t] + p["U_r"] @ h)
+        pre = xh[:, t] + r * (p["U_h"] @ h)
+        cand = np.tanh(pre) if candidate_tanh else 2.0 * _exp_sigmoid(pre) - 1.0
+        h = u * h + (1.0 - u) * cand
+        states.append(h)
+    return np.stack(states, axis=1)
+
+
+@pytest.mark.parametrize("candidate_tanh", [False, True])
+@pytest.mark.parametrize("hidden", [6, 13, 64, 125])
+def test_tanh_form_gates_move_states_by_round_off_only(hidden, candidate_tanh):
+    # the fused layer's gates are tanh(v/2)/2 + 1/2 and its default
+    # candidate tanh(v/2), exact identities of the exp forms. Weights at
+    # gru_init's scale keep the recurrence contractive; U scaled up makes it
+    # amplify any round-off, the exp form's own included.
+    rng = np.random.default_rng(hidden)
+    params = gru_init(32, hidden, rng)
+    for gate in "zrh":
+        params[f"gru.b_{gate}"].data += rng.normal(scale=0.3, size=hidden)
+    for m in (1, 9, 240):
+        f = rng.normal(scale=2.0, size=(32, m))
+        got = gru_forward(Tensor(f), params, candidate_tanh=candidate_tanh).data
+        assert np.abs(got - exp_form_gru(f, params, candidate_tanh)).max() <= 1e-15, m
+
+
+def test_a_nan_feature_still_fails_the_decode(monkeypatch):
+    # tanh passes a NaN on, so it reaches the CRF's finite check
+    config = desk_config("crf", hidden_dim=8, channels=4)
+    spe = config.sample_rate_hz * config.epoch_seconds
+    rng = np.random.default_rng(3)
+    record = Record("r", rng.normal(size=12 * spe), rng.integers(0, 4, size=12),
+                    sample_rate_hz=config.sample_rate_hz, epoch_seconds=config.epoch_seconds)
+    cnn_forward = ncrf.model.cnn_forward
+
+    def poked(*args, **kwargs):
+        out = cnn_forward(*args, **kwargs)
+        out.data[1, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(ncrf.model, "cnn_forward", poked)
+    with pytest.raises(NumericError):
+        decode_record(config, init_params(config, 1), record)
+
+
 # ---------------------------------------------------------------------------
 # the fused layer against the composed reference
 # ---------------------------------------------------------------------------
-
-
-def test_sigmoid_matches_masked_two_branch_form_bit_for_bit():
-    special = np.array([
-        0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
-        np.nan, -np.nan, np.inf, -np.inf, 36.9, -36.9, 709.9, -709.9, 745.2, -745.2,
-    ])
-    rng = np.random.default_rng(17)
-    grid = np.concatenate([
-        special,
-        rng.normal(scale=10.0, size=5000),
-        rng.uniform(-40.0, 40.0, size=5000),
-        np.linspace(-800.0, 800.0, 4001),
-    ])
-    assert _sigmoid(grid).tobytes() == _masked_sigmoid(grid).tobytes()
-    # raw bit patterns: NaN payloads of both signs, subnormals and both zeros
-    raw = np.concatenate([
-        rng.integers(0, 2**64, size=20000, dtype=np.uint64),
-        np.array([0, 1, 0x000FFFFFFFFFFFFF, 0x8000000000000000, 0x8000000000000001,
-                  0x7FF0000000000001, 0x7FF8000000000001, 0xFFF0000000000001,
-                  0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
-    ]).view(np.float64)
-    assert np.isnan(raw).any() and (raw == 0.0).any()
-    assert _sigmoid(raw).tobytes() == _masked_sigmoid(raw).tobytes()
-    for v in raw[-9:]:
-        one = np.array([v])
-        assert _sigmoid(one).tobytes() == _masked_sigmoid(one).tobytes(), one.view(np.uint64)
-    for v in special:  # one element at a time too: numpy's short-array loops
-        one = np.array([v])
-        assert _sigmoid(one).tobytes() == _masked_sigmoid(one).tobytes(), v
 
 
 # The forward and loss tests compare bytes, and also run at hidden width

@@ -184,6 +184,19 @@ def test_nonfinite_loss_aborts_with_context(corpus):
         train([bad], va, quick_config(max_epochs=1, patience=1))
 
 
+@pytest.mark.parametrize("kind", ["softmax", "crf", "crf2"])
+def test_finite_scores_that_overflow_the_loss_meet_the_loss_guard(corpus, kind):
+    # every score is finite, so the CRF's finite check passes, but node scores
+    # of +-1e308 overflow the log partition and the gold path's score
+    tr, _, _ = corpus
+    config = desk_config(kind, hidden_dim=6, channels=4)
+    params = init_params(config, 3)
+    params["head.b" if kind == "softmax" else "crf.b_n"].data[:] = [1e308, -1e308] * 2
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match=r"^non-finite training loss at epoch 1, record "):
+        training._record_gradients(config, params, tr[0], None, SplitRng(5), 1, 0)
+
+
 def test_nonfinite_gradient_norm_raises_before_adam_with_params_untouched(corpus, monkeypatch):
     # a NaN in one record's gradients: the clip skips a NaN norm, so without
     # the check Adam would write NaN into every parameter
