@@ -63,7 +63,6 @@ class ConvLayerSpec:
 class CnnConfig:
     layers: tuple[ConvLayerSpec, ...]
     residual_pairs: tuple[tuple[int, int], ...] = ()
-    input_channels: int = 1
 
     def __post_init__(self):
         if not self.layers:
@@ -82,9 +81,6 @@ class CnnConfig:
             factor *= layer.downsample
         return factor
 
-    def channels_of(self, idx: int) -> int:
-        return self.layers[idx].out_channels if idx >= 0 else self.input_channels
-
     def time_ratio(self, src: int, tgt: int) -> int:
         """Length of layer src's output divided by layer tgt's."""
         ratio = 1
@@ -94,7 +90,8 @@ class CnnConfig:
 
     def needs_projection(self, src: int, tgt: int) -> bool:
         """Whether the shortcut from layer src to tgt has a learned projection."""
-        return self.channels_of(src) != self.channels_of(tgt) or self.time_ratio(src, tgt) != 1
+        return (self.layers[src].out_channels != self.layers[tgt].out_channels
+                or self.time_ratio(src, tgt) != 1)
 
     def validate_rate(self, samples_per_epoch: int) -> None:
         if self.downsample_factor != samples_per_epoch:
@@ -108,7 +105,7 @@ def cnn_init(config: CnnConfig, rng: np.random.Generator) -> ModelParams:
     """Zero-mean uniform kernels at 1/sqrt(fan_in) scale, zero biases,
     truncated-identity residual projections."""
     params = ModelParams()
-    c_in = config.input_channels
+    c_in = 1
     for i, layer in enumerate(config.layers):
         fan_in = c_in * layer.kernel_width
         bound = np.sqrt(3.0 / fan_in)
@@ -119,7 +116,7 @@ def cnn_init(config: CnnConfig, rng: np.random.Generator) -> ModelParams:
         c_in = layer.out_channels
     for j, (src, tgt) in enumerate(config.residual_pairs):
         if config.needs_projection(src, tgt):
-            eye = np.eye(config.channels_of(src), config.channels_of(tgt))
+            eye = np.eye(config.layers[src].out_channels, config.layers[tgt].out_channels)
             params[f"cnn.res{j}.proj"] = Tensor(eye)
     return params
 
@@ -132,16 +129,14 @@ def cnn_forward(
     rng: np.random.Generator | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Map a [C_in, n] signal to [C_last, m] features.
+    """Map a one-channel [1, n] signal to [C_last, m] features.
 
     Taped and training-mode calls run the whole record at once; untaped
     inference splits it into chunks when its widest activation would
     exceed _CHUNK_BYTES.
     """
-    if signal.ndim != 2 or signal.shape[0] != config.input_channels:
-        raise DimensionError(
-            f"signal shape {signal.shape} does not match {config.input_channels} input channels"
-        )
+    if signal.ndim != 2 or signal.shape[0] != 1:
+        raise DimensionError(f"signal shape {signal.shape} is not one [1, n] channel")
     d = config.downsample_factor
     if signal.shape[1] % d != 0:
         raise ConfigurationError(
@@ -164,8 +159,7 @@ def cnn_forward(
 
 def _epoch_bytes(config: CnnConfig) -> int:
     """Bytes per epoch of the widest activation: the input or a conv output."""
-    samples = config.downsample_factor
-    widest = config.input_channels * samples
+    samples = widest = config.downsample_factor
     for layer in config.layers:
         samples //= layer.stride
         widest = max(widest, layer.out_channels * samples)

@@ -69,24 +69,21 @@ def gru_forward(
     # hs[t + 1] is the state after step t, hs[0] the zero state. gs[t] holds
     # step t's three scaled U @ h products, one BLAS matvec each with the
     # bits of U.dot(h); its z and r rows and its candidate row are gzr and gh.
+    # Each step writes its gates over gzr[t] and its candidate over its input
+    # row xh[t], so after the loop they hold every step's for the backward.
     n = uz.shape[0]
     hs, gs = np.zeros((m + 1, n)), np.empty((m, 3, n))
     xzr, xh, gzr, gh = x[:, :2], x[:, 2], gs[:, :2], gs[:, 2]
-    steps = [] if tape is not None else None  # per-step gates and candidates backward reads
     for t in range(m):
         h = hs[t]
         np.matmul(u3, h, out=gs[t])
-        zr = np.tanh(gzr[t] + xzr[t]) * 0.5 + 0.5
-        u, r = zr
-        cand = np.tanh(xh[t] + r * gh[t])
+        u, r = np.add(np.tanh(gzr[t] + xzr[t]) * 0.5, 0.5, out=gzr[t])
+        cand = np.tanh(xh[t] + r * gh[t], out=xh[t])
         np.add(u * h, (1.0 - u) * cand, out=hs[t + 1])
-        if steps is not None:
-            steps.append((zr, cand))
     out = Tensor(hs[1:].T.copy())
 
     if tape is not None:
-        # the loop's values again, as whole arrays with the same bits
-        zr, cands = (np.array(a) for a in zip(*steps))
+        zr, cands = gzr, xh
         u, r = zr[:, 0], zr[:, 1]
         # c = (1 - u) * d cand / d pre, so step t's g_pre is c[t] times
         # the adjoint of the state it makes; gh / s is U_h h, exactly

@@ -2,7 +2,8 @@
 
 A ModelConfig pins everything needed to rebuild the network from a
 checkpoint: the convolution stack, recurrent width, output kind, and
-the record geometry it expects. Model kinds, listed by CRF order:
+the record geometry it expects. The input is always one signal channel
+and the output the NUM_STAGES stages. Model kinds, by CRF order:
 
   softmax  per-epoch independent classification: the chain with no edges
   crf      first-order chain CRF output layer
@@ -37,7 +38,6 @@ class ModelConfig:
     sample_rate_hz: int = 4
     epoch_seconds: int = 4
     candidate_tanh: bool = False
-    num_labels: int = NUM_STAGES
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
@@ -90,7 +90,7 @@ def init_params(config: ModelConfig, seed_or_rng) -> ModelParams:
     params.update(
         crf_ops.crf_init(
             config.hidden_dim,
-            num_labels=config.num_labels,
+            num_labels=NUM_STAGES,
             order=config.crf_order,
             rng=root.child(stream).generator(),
         )
@@ -100,16 +100,17 @@ def init_params(config: ModelConfig, seed_or_rng) -> ModelParams:
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every array ``init_params`` makes, in its order, without allocating."""
-    cnn, h, k = config.cnn, config.hidden_dim, config.num_labels
+    cnn, h, k = config.cnn, config.hidden_dim, NUM_STAGES
     shapes: dict[str, tuple[int, ...]] = {}
-    c_in = cnn.input_channels
+    c_in = 1
     for i, layer in enumerate(cnn.layers):
         shapes[f"cnn.layer{i}.kernels"] = (layer.out_channels, c_in, layer.kernel_width)
         shapes[f"cnn.layer{i}.bias"] = (layer.out_channels,)
         c_in = layer.out_channels
     for j, (src, tgt) in enumerate(cnn.residual_pairs):
         if cnn.needs_projection(src, tgt):
-            shapes[f"cnn.res{j}.proj"] = (cnn.channels_of(src), cnn.channels_of(tgt))
+            shapes[f"cnn.res{j}.proj"] = (cnn.layers[src].out_channels,
+                                          cnn.layers[tgt].out_channels)
     for gate in ("z", "r", "h"):
         shapes |= {f"gru.W_{gate}": (h, c_in), f"gru.U_{gate}": (h, h), f"gru.b_{gate}": (h,)}
     if config.crf_order == 0:

@@ -20,6 +20,8 @@ from .errors import ParameterError
 from .model import check_record, hidden_states
 from .training import Checkpoint
 
+STRIP_HEIGHT = 16  # rows of the graymap; each repeats the weights
+
 
 def _resolve_target(target, potentials: CrfPotentials, epoch_index: int) -> int:
     if isinstance(target, str) and target != "predicted":
@@ -77,7 +79,6 @@ def export_saliency(
     weights: np.ndarray,
     signal_slice: np.ndarray,
     path_prefix: str | Path,
-    strip_height: int = 16,
 ) -> tuple[Path, Path]:
     """Write ``<prefix>.csv`` (signal,weight rows) and ``<prefix>.pgm``.
 
@@ -99,8 +100,8 @@ def export_saliency(
             f.write(f"{float(v)!r},{float(w)!r}\n")
 
     pixels = np.clip(np.rint(255.0 * (1.0 - weights)), 0, 255).astype(np.uint8)
-    strip = np.tile(pixels, (strip_height, 1))
+    strip = np.tile(pixels, (STRIP_HEIGHT, 1))
     with open(pgm_path, "wb") as f:
-        f.write(f"P5\n{weights.size} {strip_height}\n255\n".encode("ascii"))
+        f.write(f"P5\n{weights.size} {STRIP_HEIGHT}\n255\n".encode("ascii"))
         f.write(strip.tobytes())
     return csv_path, pgm_path

@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import ModelParams, Tape, Tensor
 from .cnn import CnnConfig, ConvLayerSpec, desk_cnn_config
 from .crf import l1_prox
-from .data import Record, class_prior
+from .data import NUM_STAGES, Record, class_prior
 from .errors import CheckpointFormatError, NcrfError, NumericError, ParameterError
 from .model import ModelConfig, evaluate, init_params, param_shapes, record_loss
 from .rng import SplitRng
@@ -47,7 +47,7 @@ class TrainConfig:
     batch_size: int = 1
     seed: int = 0
     hidden_dim: int = 64
-    cnn: CnnConfig | None = None  # None picks the desk stack
+    cnn: CnnConfig = field(default_factory=desk_cnn_config)
     candidate_tanh: bool = False
 
     def __post_init__(self):
@@ -164,7 +164,7 @@ def train(
 
     model_config = ModelConfig(
         model_kind=config.model_kind,
-        cnn=config.cnn if config.cnn is not None else desk_cnn_config(),
+        cnn=config.cnn,
         hidden_dim=config.hidden_dim,
         sample_rate_hz=rate,
         epoch_seconds=epoch_seconds,
@@ -248,11 +248,7 @@ def _cnn_to_text(cnn: CnnConfig) -> dict[str, str]:
         for l in cnn.layers
     )
     residuals = ";".join(f"{s}-{t}" for s, t in cnn.residual_pairs)
-    return {
-        "cnn_layers": layers,
-        "cnn_residuals": residuals,
-        "cnn_input_channels": str(cnn.input_channels),
-    }
+    return {"cnn_layers": layers, "cnn_residuals": residuals}
 
 
 def _cnn_from_text(meta: dict[str, str]) -> CnnConfig:
@@ -264,7 +260,7 @@ def _cnn_from_text(meta: dict[str, str]) -> CnnConfig:
         (int(a), int(b))
         for a, b in (pair.split("-") for pair in meta["cnn_residuals"].split(";") if pair)
     )
-    return CnnConfig(tuple(layers), residuals, int(meta["cnn_input_channels"]))
+    return CnnConfig(tuple(layers), residuals)
 
 
 _META_ORDER = (
@@ -282,18 +278,20 @@ _META_ORDER = (
     "epoch",
     "val_kappa",
 )
+# the one value of each that every save writes and every load requires
+_FIXED_META = {"format_version": str(CHECKPOINT_VERSION), "num_labels": str(NUM_STAGES),
+               "cnn_input_channels": "1"}
 
 
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
     cfg = checkpoint.model_config
     meta = {
-        "format_version": str(CHECKPOINT_VERSION),
+        **_FIXED_META,
         "model_kind": cfg.model_kind,
         "hidden_dim": str(cfg.hidden_dim),
         "sample_rate_hz": str(cfg.sample_rate_hz),
         "epoch_seconds": str(cfg.epoch_seconds),
         "candidate_tanh": "1" if cfg.candidate_tanh else "0",
-        "num_labels": str(cfg.num_labels),
         **_cnn_to_text(cfg.cnn),
         "seed": str(checkpoint.seed),
         "epoch": str(checkpoint.epoch),
@@ -374,6 +372,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for key in _META_ORDER:
         if key not in meta:
             raise CheckpointFormatError(f"metadata missing {key!r}")
+    for key, value in _FIXED_META.items():
+        if meta[key] != value:
+            raise CheckpointFormatError(f"{key} must be {value}: {meta[key]!r}")
+    if meta["candidate_tanh"] not in ("0", "1"):
+        raise CheckpointFormatError(f"candidate_tanh must be 0 or 1: {meta['candidate_tanh']!r}")
 
     try:
         model_config = ModelConfig(
@@ -383,7 +386,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             sample_rate_hz=int(meta["sample_rate_hz"]),
             epoch_seconds=int(meta["epoch_seconds"]),
             candidate_tanh=meta["candidate_tanh"] == "1",
-            num_labels=int(meta["num_labels"]),
         )
         seed, epoch, val_kappa = int(meta["seed"]), int(meta["epoch"]), float(meta["val_kappa"])
     except (ValueError, NcrfError) as e:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -10,14 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncrf
 from ncrf.autodiff import Tensor
 from ncrf.cli import PROFILES, main
-from ncrf.crf import _enumerate_scores, potentials_from_hidden
+from ncrf.crf import _enumerate_scores, crf_init, potentials_from_hidden
 from ncrf.data import SynthConfig, load_records, save_synth_config, synth_generate, write_corpus
+from ncrf.errors import CheckpointFormatError
 from ncrf.model import MODEL_KINDS, desk_config, hidden_states, init_params, paper_config
 from ncrf.training import Checkpoint, load_checkpoint, save_checkpoint
 
@@ -268,6 +270,16 @@ def train_argv(draw):
     return argv, profile, bool(hostile)
 
 
+def _run_quietly(argv: list[str]) -> tuple[int, str, str, list]:
+    """``main(argv)``'s exit code, stdout, stderr and the warnings it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")  # outside a test each one reaches stderr
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
 @pytest.fixture(scope="module")
 def fuzz_out(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "model.ncrf"
@@ -282,18 +294,13 @@ def test_train_on_drawn_flags_exits_cleanly(corpus_dir, paper_corpus_dir, fuzz_o
     manifest = (corpus_dir if data == "desk" else paper_corpus_dir) / "manifest.txt"
     argv = ["train", "--data", str(manifest), "--out", str(fuzz_out), *flags]
     fuzz_out.unlink(missing_ok=True)
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")  # outside a test each one reaches stderr
-        code = main(argv)
+    code, out, err, caught = _run_quietly(argv)
     assert code in (0, 1), argv
     if hostile or profile != data:
         assert code == 1, argv
     if code == 1:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
-            (argv, err.getvalue())
-        assert caught == [] and out.getvalue() == "" and not fuzz_out.exists(), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert caught == [] and out == "" and not fuzz_out.exists(), argv
 
 
 def test_eval_writes_summary_with_exact_keys(tmp_path, corpus_dir, trained):
@@ -510,6 +517,114 @@ def test_inspect_data_without_moves_fails_with_one_line(tmp_path, capsys):
     assert main(["inspect", "--checkpoint", str(path), "--data", str(manifest)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# hostile checkpoint metadata
+# ---------------------------------------------------------------------------
+
+
+def hostile_checkpoint(path: Path, kind: str, key: str, value: str) -> Path:
+    """A tiny desk ``kind`` checkpoint whose metadata ``key`` reads ``value``.
+
+    A stage count, GRU width or input channel count that parses as a size
+    gets an array table of that size, so only the metadata can give it
+    away; the last stage's bias is raised so that every epoch decodes to it.
+    """
+    size = int(value) if value.isdigit() and int(value) > 0 else None
+    config = desk_config(kind, hidden_dim=size if key == "hidden_dim" and size else 4,
+                         channels=4)
+    params = init_params(config, 0)
+    if key == "num_labels" and size:
+        params.update(crf_init(config.hidden_dim, num_labels=size, order=config.crf_order,
+                               rng=np.random.default_rng(1)))
+        params["head.b" if kind == "softmax" else "crf.b_n"].data[-1] = 10.0
+    if key == "cnn_input_channels" and size:
+        kernels = params["cnn.layer0.kernels"].data
+        params["cnn.layer0.kernels"] = Tensor(np.tile(kernels, (1, size, 1)))
+    save_checkpoint(path, Checkpoint(config, params, seed=0, epoch=0, val_kappa=0.5))
+    # the metadata block is last, behind its u32 length
+    blob = path.read_bytes()
+    start = blob.index(b"format_version=")
+    lines = [f"{key}={value}" if line.split("=", 1)[0] == key else line
+             for line in blob[start:].decode().splitlines()]
+    meta = ("\n".join(lines) + "\n").encode()
+    path.write_bytes(blob[: start - 4] + struct.pack("<I", len(meta)) + meta)
+    return path
+
+
+# metadata key -> (values that load, values every load must refuse)
+META_VALUES = {
+    "format_version": (["1"], ["0", "2", "9", "x", ""]),
+    "model_kind": (["crf"], ["softmax", "crf2", "CRF", ""]),  # the array table is a crf's
+    "hidden_dim": (["1", "4", "7"], ["0", "-3", "x"]),
+    "sample_rate_hz": (["4"], ["8", "2", "0", "x"]),
+    "epoch_seconds": (["4"], ["2", "8", "0", "x"]),
+    "candidate_tanh": (["0", "1"], ["7", "", "true"]),
+    "num_labels": (["4"], ["1", "2", "3", "5", "6", "0", "x"]),
+    "cnn_layers": (["6:2:4:1:0.1;4:2:4:2:0.1;4:2:4:1:0.1"],
+                   ["6:2:4:1:0.1", "16:16:4:1:0.0", "6:2:4:1:0.1;4:2:4:2:0.1;4:2:4:1", "x", ""]),
+    "cnn_residuals": (["0-2", "1-2"], ["", "2-0", "0-9", "x"]),  # 1-2 has the same shapes
+    "cnn_input_channels": (["1"], ["2", "3", "0", "x"]),
+    "seed": (["0", "7", "-1", "99999999999999999999999"], ["x"]),  # eval splits by it
+    "epoch": (["0", "-1"], ["x"]),
+    "val_kappa": (["0.5", "nan", "-inf"], ["x"]),
+}
+
+
+def _commands(path: Path, corpus_dir: Path, out: Path) -> list[list[str]]:
+    ckpt, data = ["--checkpoint", str(path)], ["--data", str(corpus_dir / "manifest.txt")]
+    return [["predict", *ckpt, *data, "--out", str(out / "preds")],
+            ["eval", *ckpt, *data, "--out", str(out / "report")],
+            ["inspect", *ckpt, *data]]
+
+
+@pytest.mark.parametrize("key,value", [("num_labels", "3"), ("num_labels", "5"),
+                                       ("cnn_input_channels", "2"), ("format_version", "9"),
+                                       ("candidate_tanh", "7")])
+def test_refused_metadata_fails_in_one_line_naming_the_key(tmp_path, corpus_dir, key, value):
+    # the array table of each size is consistent, so the loader must read the value itself
+    path = hostile_checkpoint(tmp_path / "hostile.ncrf", "crf", key, value)
+    with pytest.raises(CheckpointFormatError, match=key):
+        load_checkpoint(path)
+    for argv in _commands(path, corpus_dir, tmp_path):
+        code, out, err, caught = _run_quietly(argv)
+        assert (code, out, caught) == (1, "", []), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err, (argv, err)
+
+
+@st.composite
+def meta_case(draw):
+    """(kind, key, value, refused): one metadata value of a tiny checkpoint."""
+    key = draw(st.sampled_from(sorted(META_VALUES)))
+    refused = draw(st.booleans())
+    value = draw(st.sampled_from(META_VALUES[key][refused]))
+    kind = draw(st.sampled_from(MODEL_KINDS)) if not refused else "crf"
+    return kind, key, value, refused
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=meta_case())
+@example(case=("crf", "num_labels", "5", True))
+@example(case=("crf", "num_labels", "3", True))
+def test_checkpoint_with_drawn_metadata_exits_cleanly(corpus_dir, hostile_dir, case):
+    # predict, eval and inspect --data succeed or print one "error: " line; a
+    # refused value fails all three; never a traceback or a warning
+    kind, key, value, refused = case
+    path = hostile_checkpoint(hostile_dir / "model.ncrf", kind, key, value)
+    for argv in _commands(path, corpus_dir, hostile_dir):
+        code, out, err, caught = _run_quietly(argv)
+        assert code in (0, 1) and caught == [], (case, argv)
+        if refused:
+            assert code == 1, (case, argv)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (case, argv, err)
+            assert out == "", (case, argv)
 
 
 def test_gradcheck_tiny_passes():

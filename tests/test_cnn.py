@@ -19,7 +19,7 @@ from ncrf.cnn import (
     paper_cnn_config,
 )
 from ncrf.data import Record
-from ncrf.errors import ConfigurationError, ParameterError
+from ncrf.errors import ConfigurationError, DimensionError, ParameterError
 from ncrf.model import ModelConfig, decode_record, desk_config, init_params, paper_config, record_loss
 from ncrf.rng import SplitRng
 import primitives
@@ -94,6 +94,15 @@ def test_forward_rejects_bad_length():
         cnn_forward(Tensor(np.zeros((1, 13))), config, params)
 
 
+@pytest.mark.parametrize("shape", [(2, 16), (16,), (1, 1, 16)])
+def test_forward_rejects_a_signal_that_is_not_one_channel(shape):
+    # every record is one airflow channel, so the stack reads exactly [1, n]
+    config = tiny_config()
+    params = cnn_init(config, np.random.default_rng(0))
+    with pytest.raises(DimensionError):
+        cnn_forward(Tensor(np.zeros(shape)), config, params)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
@@ -108,8 +117,8 @@ def test_init_deterministic_for_fixed_generator():
 
 
 def test_init_kernel_scale_tracks_fan_in():
-    # fan_in = 100 -> bound 0.1 * sqrt(3)
-    config = CnnConfig(layers=(ConvLayerSpec(10, 10, 7),), input_channels=10)
+    # one input channel, so fan_in = kernel width 100 -> bound 0.1 * sqrt(3)
+    config = CnnConfig(layers=(ConvLayerSpec(100, 10, 7),))
     params = cnn_init(config, np.random.default_rng(0))
     k = params["cnn.layer0.kernels"].data
     assert np.abs(k).max() <= 0.1 * np.sqrt(3)
@@ -558,8 +567,8 @@ def test_fused_shortcut_equals_composed_bytes(drawn, t_out, seed):
     proj = cnn_init(config, rng).get("cnn.res0.proj")
     if proj is not None:  # off the truncated identity, so the product is not trivial
         proj = Tensor(proj.data + rng.normal(size=proj.shape))
-    x = Tensor(rng.normal(size=(config.channels_of(tgt), t_out)))
-    saved = Tensor(rng.normal(size=(config.channels_of(src), t_out * ratio)))
+    x = Tensor(rng.normal(size=(config.layers[tgt].out_channels, t_out)))
+    saved = Tensor(rng.normal(size=(config.layers[src].out_channels, t_out * ratio)))
     weights = rng.normal(size=x.shape)
     weights[:, ::2] = -0.0  # a signed-zero upstream adjoint in every other column
     untaped = cnn._shortcut(x, saved, proj, ratio)
@@ -585,7 +594,7 @@ def test_input_span_covers_gradient_support(config, m, feat, seed):
     for t in params.values():
         np.abs(t.data, out=t.data)  # a positive network keeps every ReLU open
     n, feat = m * config.downsample_factor, feat % m
-    x = Tensor(rng.uniform(0.5, 1.0, size=(config.input_channels, n)))
+    x = Tensor(rng.uniform(0.5, 1.0, size=(1, n)))
     tape = Tape()
     out = cnn_forward(x, config, params, tape=tape)
     tape.backward(reduce_sum(take_cols(out, [feat], tape), tape=tape))
@@ -692,7 +701,7 @@ def cnn_configs(draw):
     )
     targets = draw(st.sets(st.integers(1, n_layers - 1), max_size=2)) if n_layers > 1 else set()
     pairs = tuple((draw(st.integers(0, tgt - 1)), tgt) for tgt in sorted(targets))
-    return CnnConfig(layers, pairs, input_channels=draw(st.integers(1, 2)))
+    return CnnConfig(layers, pairs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -701,7 +710,7 @@ def cnn_configs(draw):
 def test_halo_covers_the_receptive_field(config, m, budget, seed):
     rng = np.random.default_rng(seed)
     params = cnn_init(config, rng)
-    signal = Tensor(rng.normal(size=(config.input_channels, m * config.downsample_factor)))
+    signal = Tensor(rng.normal(size=(1, m * config.downsample_factor)))
     whole = cnn._layers(signal, config, params).data
     saved = cnn._CHUNK_BYTES  # hypothesis examples cannot share pytest's monkeypatch
     cnn._CHUNK_BYTES = int(budget * m * cnn._epoch_bytes(config))

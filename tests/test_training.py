@@ -345,6 +345,38 @@ def test_checkpoint_roundtrip_is_byte_identical(corpus, tmp_path):
         np.testing.assert_array_equal(loaded.params[name].data, ckpt.params[name].data)
 
 
+# the metadata block as version 1 writes it: keys in their fixed order, with the
+# stage count and the input channel count every model has, then sorted extras
+GOLDEN_META = {
+    "desk": (desk_config("crf"),
+             "format_version=1\nmodel_kind=crf\nhidden_dim=64\nsample_rate_hz=4\n"
+             "epoch_seconds=4\ncandidate_tanh=0\nnum_labels=4\n"
+             "cnn_layers=6:2:32:1:0.1;4:2:32:2:0.1;4:2:32:1:0.1\ncnn_residuals=0-2\n"
+             "cnn_input_channels=1\nseed=7\nepoch=12\nval_kappa=0.8125\n"
+             "x.cost_sensitive=0\nx.l1_lambda=0.005\nx.learning_rate=0.001\n"),
+    "paper": (paper_config("crf2"),
+              "format_version=1\nmodel_kind=crf2\nhidden_dim=125\nsample_rate_hz=32\n"
+              "epoch_seconds=30\ncandidate_tanh=0\nnum_labels=4\n"
+              "cnn_layers=10:2:256:1:0.1;10:2:256:5:0.1;8:2:256:2:0.1;8:2:256:2:0.1;"
+              "6:3:256:1:0.1\ncnn_residuals=1-3\ncnn_input_channels=1\nseed=7\nepoch=12\n"
+              "val_kappa=0.8125\nx.cost_sensitive=0\nx.l1_lambda=0.005\nx.learning_rate=0.001\n"),
+}
+
+
+@pytest.mark.parametrize("profile", sorted(GOLDEN_META))
+def test_checkpoint_metadata_text_is_pinned(tmp_path, profile):
+    config, text = GOLDEN_META[profile]
+    extras = {"learning_rate": "0.001", "cost_sensitive": "0", "l1_lambda": "0.005"}
+    path = tmp_path / "golden.ncrf"
+    save_checkpoint(path, Checkpoint(config, init_params(config, 0), seed=7, epoch=12,
+                                     val_kappa=0.8125, extras=extras))
+    blob = path.read_bytes()
+    start = blob.index(b"format_version=")
+    assert struct.unpack_from("<I", blob, start - 4) == (len(blob) - start,)
+    assert blob[start:].decode() == text
+    assert load_checkpoint(path).model_config == config
+
+
 def test_truncated_checkpoint_rejected(corpus, tmp_path):
     tr, va, _ = corpus
     ckpt, _ = train(tr, va, quick_config(max_epochs=1, patience=1))
